@@ -7,6 +7,13 @@ flood infects the whole connected component of the proximity graph.
 
 Each node owns an independent RNG stream, so trajectories are invariant
 under time-step refinement: only contact detection depends on dt.
+
+One step (`advance` then `flood`) is O(n) numpy work and O(n) memory when
+nodes are sparse: `advance` moves all nodes as arrays and loops in Python
+only over the direction changes, and `flood` finds neighbours on a
+linked-cell grid of at most 16 cells per node instead of an n x n
+distance matrix.  Every range decision is the same float comparison as
+the dense one, so records do not depend on the grid.
 """
 
 import math
@@ -158,92 +165,163 @@ def init_world(config):
 def fold_positions(positions, directions, length):
     """Specular reflection: fold raw positions into [0, L], flipping the
     matching direction components on odd-numbered mirror images.  Each
-    axis folds independently (corner bounces compose)."""
-    period = 2.0 * length
-    folded = np.mod(positions, period)
-    over = folded > length
-    if over.any():
+    axis folds independently (corner bounces compose).  Components inside
+    (0, L] are their own fold, so only the others are folded."""
+    outside = (positions <= 0.0) | (positions > length)
+    if outside.any():
+        period = 2.0 * length
+        folded = np.mod(positions[outside], period)
+        over = folded > length
         folded[over] = period - folded[over]
-        directions[over] = -directions[over]
-    np.copyto(positions, folded)
-
-
-def _move_node(world, i, duration):
-    length = world.config.box_length
-    world.positions[i] += world.directions[i] * (world.config.v * duration)
-    pos = world.positions[i : i + 1]
-    dirn = world.directions[i : i + 1]
-    fold_positions(pos, dirn, length)
+        positions[outside] = folded
+        outside[outside] = over  # now the components that reflect
+        directions[outside] = -directions[outside]
 
 
 def advance(world):
     """Advance every node by one dt: straight motion with wall reflection,
     with Poisson direction changes applied at their exact scheduled times
-    (any number per step).  Mutates and returns the world."""
+    (any number per step).  Mutates and returns the world.
+
+    Turns are taken in rounds.  Each round moves every node whose next
+    turn falls inside the step to that turn time with one array move, then
+    redraws those nodes' directions and turn times from their own RNG
+    streams.  One array move then carries all n nodes to the step end;
+    nodes that did not turn move by exactly v*dt.  The step is O(n) array
+    work plus a Python loop over the turns alone."""
     config = world.config
     dt = config.dt
     if world.time + dt > config.t_max + 1e-9 * max(1.0, config.t_max):
         raise ConfigError("advance would step past t_max")
     end = world.time + dt
 
-    turning = np.flatnonzero(world.next_turn_time < end)
-    quiet = np.ones(config.n, dtype=bool)
-    quiet[turning] = False
+    last_turn = np.full(config.n, world.time)
+    turned = (world.next_turn_time < end).nonzero()[0]
+    due = turned
+    while due.size:
+        step = config.v * (world.next_turn_time[due] - last_turn[due])
+        pos = world.positions[due] + world.directions[due] * step[:, None]
+        # fancy indexing copies; the folded directions are dropped
+        # because every due node draws a new one below
+        fold_positions(pos, world.directions[due], config.box_length)
+        world.positions[due] = pos
+        last_turn[due] = world.next_turn_time[due]
+        directions, increments = [], []
+        for i in due:
+            rng = world.node_rngs[i]
+            directions.append(_isotropic_direction(rng, config.d))
+            increments.append(_turn_increment(rng, config.tau))
+        world.directions[due] = directions
+        world.next_turn_time[due] = last_turn[due] + increments
+        world.turn_count[due] += 1
+        due = due[world.next_turn_time[due] < end]
 
-    # bulk path: nodes with no turn this step (fancy indexing copies,
-    # so fold through temporaries and write back)
-    if quiet.any():
-        pos = world.positions[quiet] + world.directions[quiet] * (config.v * dt)
-        dirn = world.directions[quiet]
-        fold_positions(pos, dirn, config.box_length)
-        world.positions[quiet] = pos
-        world.directions[quiet] = dirn
-
-    for i in turning:
-        t_node = world.time
-        rng = world.node_rngs[i]
-        while world.next_turn_time[i] < end:
-            _move_node(world, i, world.next_turn_time[i] - t_node)
-            t_node = world.next_turn_time[i]
-            world.directions[i] = _isotropic_direction(rng, config.d)
-            world.next_turn_time[i] = t_node + _turn_increment(rng, config.tau)
-            world.turn_count[i] += 1
-        _move_node(world, i, end - t_node)
+    # nodes that did not turn move by exactly v*dt; end - time can differ
+    # from dt in the last bit
+    step = np.full(config.n, config.v * dt)
+    step[turned] = config.v * (end - last_turn[turned])
+    world.positions += world.directions * step[:, None]
+    fold_positions(world.positions, world.directions, config.box_length)
 
     world.time = end
     return world
+
+
+# Relative slack on the cell side, so that rounding in a cell index can
+# never put two points at distance exactly r in non-adjacent cells.
+_CELL_MARGIN = 1e-6
+# Grid size cap, in cells per point: when (L/r)^D is far above the point
+# count, cells grow past r so that building the grid stays O(n).
+_CELLS_PER_POINT = 16
+
+
+def _cell_ids(points, scale, cells, strides):
+    """Flat ids of the cells holding points, in a grid of `cells` cells per
+    axis padded by one cell on every side (the padding takes the dilation
+    spill)."""
+    idx = (points * scale + 1.0).astype(np.intp)
+    np.maximum(idx, 1, out=idx)
+    np.minimum(idx, cells, out=idx)
+    return idx @ strides
+
+
+def _dilated(ids, size, strides):
+    """Occupancy of the cells in ids, grown by one cell along each axis.
+    Flat shifts may also mark padding cells; that only adds candidates."""
+    near = np.zeros(size, dtype=bool)
+    near[ids] = True
+    for s in strides:
+        grown = near.copy()
+        grown[s:] |= near[:-s]
+        grown[:-s] |= near[s:]
+        near = grown
+    return near
+
+
+def _within_range(query, target, radio_range, box_length):
+    """Boolean mask over the query rows: True where some target row lies
+    within radio_range, decided by the same ((a-b)**2).sum() <= r**2 test
+    on the same floats as a dense distance matrix would.
+
+    Broad phase on a linked-cell grid of cells at least r wide: queries in
+    a cell next to a target's cell become candidates, and only they are
+    tested, against the targets next to a candidate's cell.  Pairs within
+    r always sit in adjacent cells, so none is dropped."""
+    mask = np.zeros(len(query), dtype=bool)
+    if not len(query) or not len(target):
+        return mask
+    d = query.shape[1]
+    cells = int(box_length / (radio_range * (1.0 + _CELL_MARGIN)))
+    cap = int((_CELLS_PER_POINT * (len(query) + len(target))) ** (1.0 / d))
+    cells = max(1, min(cells, cap))
+    scale = cells / box_length
+    side = cells + 2
+    strides = [side**k for k in range(d - 1, -1, -1)]
+    size = side**d
+
+    query_ids = _cell_ids(query, scale, cells, strides)
+    target_ids = _cell_ids(target, scale, cells, strides)
+    candidates = _dilated(target_ids, size, strides)[query_ids].nonzero()[0]
+    if candidates.size:
+        nearby = target[_dilated(query_ids[candidates], size, strides)[target_ids]]
+        d2 = ((query[candidates][:, None, :] - nearby[None, :, :]) ** 2).sum(axis=2)
+        mask[candidates] = (d2 <= radio_range**2).any(axis=1)
+    return mask
 
 
 def flood(world):
     """Infect every node in a connected component (unit-disk graph on the
     current positions) that touches an infected node; instantaneous
     multi-hop relay.  Returns the new records; idempotent when no new
-    contact exists."""
+    contact exists.
+
+    The seed wave is the susceptibles in range of an infected node; the
+    closure is a breadth-first search whose every level queries the
+    still-unreached susceptibles against the nodes reached last.  Both use
+    the linked-cell query `_within_range`, so a call is O(n) array work
+    when nodes are sparse."""
     records = []
     if world.infected.all():
         return records
-    r2 = world.config.radio_range ** 2
+    config = world.config
     pos = world.positions
-    sus_idx = np.flatnonzero(~world.infected)
-    inf_pos = pos[world.infected]
+    sus_idx = (~world.infected).nonzero()[0]
     sus_pos = pos[sus_idx]
 
-    # seed wave: susceptibles in range of any currently infected node
-    d2 = ((sus_pos[:, None, :] - inf_pos[None, :, :]) ** 2).sum(axis=2)
-    wave = (d2 <= r2).any(axis=1)
-    if not wave.any():
+    reached = _within_range(
+        sus_pos, pos[world.infected], config.radio_range, config.box_length
+    )
+    frontier = reached.nonzero()[0]
+    if not frontier.size:
         return records
-
-    # expand through susceptible-susceptible chains
-    d2_sus = ((sus_pos[:, None, :] - sus_pos[None, :, :]) ** 2).sum(axis=2)
-    adj = d2_sus <= r2
-    reached = wave.copy()
-    frontier = wave
-    while True:
-        frontier = adj[:, frontier].any(axis=1) & ~reached
-        if not frontier.any():
-            break
-        reached |= frontier
+    while frontier.size:
+        unreached = (~reached).nonzero()[0]
+        hit = _within_range(
+            sus_pos[unreached], sus_pos[frontier],
+            config.radio_range, config.box_length,
+        )
+        frontier = unreached[hit]
+        reached[frontier] = True
 
     now = world.time
     origin = world.source_origin

@@ -11,6 +11,9 @@ import operator
 # exp/cosh overflow region starts near 709 in double precision
 MAX_ARG = 700.0
 
+# Bessel series term cap, plus int(x): the terms peak near k = x/2, and at
+# x = MAX_ARG the sum has converged by k = 463, so 300 + x terms suffice
+# over the whole domain.
 _SERIES_CAP = 300
 _SMALL_RHO = 1e-4     # switch to Taylor expansion below this (0/0 guards)
 _SMALL_RHOV_RATIO = 1e-4   # Y_3 series branch when rho*v << tau+theta
@@ -37,8 +40,8 @@ def check_dim(d):
 def bessel_i0(x):
     """Modified Bessel function I0(x) by power series.
 
-    Valid for 0 <= x <= 700; the series converges in double precision
-    over the whole argument range the kernel solver visits.
+    Valid for 0 <= x <= MAX_ARG; the term cap grows with x, so the series
+    converges in double precision over that whole range.
     """
     if x < 0.0:
         raise DomainError(f"bessel_i0 requires x >= 0, got {x}")
@@ -47,7 +50,7 @@ def bessel_i0(x):
     q = 0.25 * x * x
     term = 1.0
     total = 1.0
-    for k in range(1, _SERIES_CAP + 1):
+    for k in range(1, _SERIES_CAP + int(x) + 1):
         term *= q / (k * k)
         total += term
         if term < 1e-16 * total:
@@ -64,7 +67,7 @@ def bessel_i1(x):
     q = 0.25 * x * x
     term = 0.5 * x
     total = term
-    for k in range(1, _SERIES_CAP + 1):
+    for k in range(1, _SERIES_CAP + int(x) + 1):
         term *= q / (k * (k + 1))
         total += term
         if term < 1e-16 * abs(total) or total == 0.0:

@@ -66,6 +66,17 @@ class TestSweep:
         assert slow[0] > slow[-1]
         assert slow[0] > 10.0
 
+    def test_stdout_without_out(self, tmp_path, capsys):
+        args = (
+            "sweep", "--dim", "2", "--v", "1", "--tau", "0.1",
+            "--nu-grid", "0.01,0.05,0.2,0.5",
+        )
+        out = tmp_path / "sweep.csv"
+        assert run_cli(*args, "--out", str(out)) == 0
+        assert capsys.readouterr().out == f"wrote 4 rows to {out}\n"
+        assert run_cli(*args) == 0
+        assert capsys.readouterr().out == out.read_text()
+
     @pytest.mark.parametrize("dim", [1, 3])
     def test_other_dimensions_smoke(self, dim, tmp_path):
         from dtnspeed.kernel import KernelPoint, ModelParams, kernel_residual

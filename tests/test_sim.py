@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import dtnspeed.sim as sim_module
 from dtnspeed.sim import (
     CENTER,
     UNIFORM_RANDOM,
@@ -44,6 +45,77 @@ def bfs_oracle(positions, seeds, radius):
                 seen.add(j)
                 queue.append(j)
     return seen
+
+
+def dense_flood(world):
+    """Reference flood on dense susceptible x infected and susceptible x
+    susceptible distance matrices, O(n^2) per call."""
+    records = []
+    if world.infected.all():
+        return records
+    r2 = world.config.radio_range ** 2
+    pos = world.positions
+    sus_idx = np.flatnonzero(~world.infected)
+    inf_pos = pos[world.infected]
+    sus_pos = pos[sus_idx]
+    d2 = ((sus_pos[:, None, :] - inf_pos[None, :, :]) ** 2).sum(axis=2)
+    wave = (d2 <= r2).any(axis=1)
+    if not wave.any():
+        return records
+    d2_sus = ((sus_pos[:, None, :] - sus_pos[None, :, :]) ** 2).sum(axis=2)
+    adj = d2_sus <= r2
+    reached = wave.copy()
+    frontier = wave
+    while True:
+        frontier = adj[:, frontier].any(axis=1) & ~reached
+        if not frontier.any():
+            break
+        reached |= frontier
+    for k in np.flatnonzero(reached):
+        i = int(sus_idx[k])
+        world.infected[i] = True
+        world.infection_time[i] = world.time
+        dist = float(np.linalg.norm(pos[i] - world.source_origin))
+        records.append(
+            InfectionRecord(node_id=i, infection_time=world.time, distance=dist)
+        )
+    return records
+
+
+def _move_node_reference(world, i, duration):
+    world.positions[i] += world.directions[i] * (world.config.v * duration)
+    fold_positions(
+        world.positions[i : i + 1], world.directions[i : i + 1],
+        world.config.box_length,
+    )
+
+
+def per_node_advance(world):
+    """Reference advance: quiet nodes move as one array, each turning node
+    walks its turns one at a time."""
+    config = world.config
+    end = world.time + config.dt
+    turning = np.flatnonzero(world.next_turn_time < end)
+    quiet = np.ones(config.n, dtype=bool)
+    quiet[turning] = False
+    pos = world.positions[quiet] + world.directions[quiet] * (config.v * config.dt)
+    dirn = world.directions[quiet]
+    fold_positions(pos, dirn, config.box_length)
+    world.positions[quiet] = pos
+    world.directions[quiet] = dirn
+    for i in turning:
+        t_node = world.time
+        rng = world.node_rngs[i]
+        while world.next_turn_time[i] < end:
+            _move_node_reference(world, i, world.next_turn_time[i] - t_node)
+            t_node = world.next_turn_time[i]
+            world.directions[i] = sim_module._isotropic_direction(rng, config.d)
+            world.next_turn_time[i] = t_node + sim_module._turn_increment(
+                rng, config.tau
+            )
+            world.turn_count[i] += 1
+        _move_node_reference(world, i, end - t_node)
+    world.time = end
 
 
 class TestSimConfig:
@@ -179,6 +251,26 @@ class TestAdvance:
         with pytest.raises(ConfigError):
             advance(w)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bit_identical_to_per_node_turns(self, d):
+        cfg = SimConfig(
+            d=d, box_length=6.0, n=30, v=1.3, tau=5.0, dt=0.075, t_max=30.0, seed=d
+        )
+        fast, reference = init_world(cfg), init_world(cfg)
+        most_turns_in_a_step = 0
+        for _ in range(200):
+            before = reference.turn_count.copy()
+            advance(fast)
+            per_node_advance(reference)
+            most_turns_in_a_step = max(
+                most_turns_in_a_step, int((reference.turn_count - before).max())
+            )
+            for name in ("positions", "directions", "next_turn_time", "turn_count"):
+                got, want = getattr(fast, name), getattr(reference, name)
+                assert got.tobytes() == want.tobytes(), name
+            assert fast.time == reference.time
+        assert most_turns_in_a_step >= 2
+
     def test_mirror_trajectory_equivalence(self):
         # folded billiard position == free-space position passed through
         # the 2L-periodic folding map, at every step
@@ -212,6 +304,24 @@ class TestFoldPositions:
         dirn = np.array([[1.0]])
         fold_positions(pos, dirn, 10.0)
         assert pos[0, 0] == pytest.approx(3.0)
+
+    def test_matches_whole_array_fold(self):
+        # reference: fold every component, inside the box or not
+        length = 10.0
+        rng = np.random.default_rng(5)
+        edges = [0.0, -0.0, length, 2.0 * length, -length, 1e-300, -1e-300]
+        raw = np.concatenate([rng.uniform(-35.0, 45.0, 400), edges])
+        raw = raw.reshape(-1, 1)
+        dirn = rng.choice([-1.0, 1.0], size=raw.shape)
+        period = 2.0 * length
+        want_pos = np.mod(raw, period)
+        over = want_pos > length
+        want_pos[over] = period - want_pos[over]
+        want_dir = np.where(over, -dirn, dirn)
+        pos = raw.copy()
+        fold_positions(pos, dirn, length)
+        assert pos.tobytes() == want_pos.tobytes()
+        assert dirn.tobytes() == want_dir.tobytes()
 
     def test_negative_fold(self):
         pos = np.array([[-2.5]])
@@ -261,6 +371,86 @@ class TestFlood:
             [tuple(p) for p in w.positions], {0}, cfg.radio_range
         )
         assert set(np.flatnonzero(w.infected)) == oracle
+
+    @pytest.mark.parametrize(
+        "d,box_length,radio_range",
+        [
+            (1, 30.0, 1.0),
+            (2, 12.0, 1.0),
+            (3, 6.0, 1.0),
+            # radio range that does not divide the box
+            (1, 10.0, 3.0),
+            (2, 7.3, 1.7),
+            (3, 5.5, 1.2),
+            # boxes one and two cells wide
+            (1, 2.0000001, 1.0),
+            (2, 2.0000001, 1.0),
+            (3, 2.5, 1.0),
+        ],
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_bfs_oracle_all_dims(self, d, box_length, radio_range, seed):
+        rng = np.random.default_rng(100 + seed)
+        cfg = SimConfig(
+            d=d, box_length=box_length, n=int(rng.integers(5, 60)), v=1.0,
+            tau=0.0, dt=0.05, t_max=1.0, radio_range=radio_range, seed=seed,
+            source_placement=UNIFORM_RANDOM,
+        )
+        w = init_world(cfg)
+        flood(w)
+        oracle = bfs_oracle([tuple(p) for p in w.positions], {0}, radio_range)
+        assert set(np.flatnonzero(w.infected)) == oracle
+
+    @pytest.mark.parametrize(
+        "d,box_length,radio_range,offset",
+        [
+            (1, 10.0, 1.0, 0.0),
+            (2, 10.0, 1.0, 0.25),
+            (3, 7.0, 1.0, 0.0),
+            (2, 7.25, 0.5, 0.125),
+            (3, 4.75, 0.75, 0.5),
+        ],
+    )
+    def test_lattice_at_exact_range(self, d, box_length, radio_range, offset):
+        # lattice neighbours sit exactly radio_range apart, from wall to
+        # wall, so chains cross cell edges at distance exactly r
+        steps = int((box_length - offset) / radio_range)
+        axis = offset + radio_range * np.arange(steps + 1)
+        lattice = np.stack(np.meshgrid(*[axis] * d), axis=-1).reshape(-1, d)
+        keep = np.random.default_rng(d).random(len(lattice)) < 0.6
+        keep[:2] = True
+        points = lattice[keep]
+        cfg = SimConfig(
+            d=d, box_length=box_length, n=len(points), v=1.0, tau=0.0,
+            dt=0.05, t_max=1.0, radio_range=radio_range,
+        )
+        w = init_world(cfg)
+        w.positions[:] = points
+        w.source_origin = points[0].copy()
+        flood(w)
+        oracle = bfs_oracle([tuple(p) for p in points], {0}, radio_range)
+        assert set(np.flatnonzero(w.infected)) == oracle
+        assert len(oracle) > 1
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_nodes_on_the_walls(self, d):
+        # chain along axis 0 from the wall at 0 to the wall at L; the far
+        # corner nodes and the centre node are off the chain except in D=1
+        length = 10.0
+        chain = np.zeros((11, d))
+        chain[:, 0] = np.arange(11.0)
+        corners = np.full((2, d), length)
+        corners[1, 0] = length - 1.0
+        stray = np.full((1, d), 0.5 * length)
+        points = np.vstack([chain, corners, stray])
+        cfg = SimConfig(d=d, box_length=length, n=len(points), v=1.0, tau=0.0)
+        w = init_world(cfg)
+        w.positions[:] = points
+        flood(w)
+        oracle = bfs_oracle([tuple(p) for p in points], {0}, 1.0)
+        assert set(np.flatnonzero(w.infected)) == oracle
+        # on a line every node is within range of the chain
+        assert oracle == (set(range(len(points))) if d == 1 else set(range(11)))
 
     def test_infection_monotone(self):
         cfg = small_config(n=25, t_max=20.0)
@@ -327,6 +517,20 @@ class TestRunEpidemic:
                 seed=seed,
             )
             assert len(run_epidemic(cfg)) == cfg.n
+
+    @pytest.mark.parametrize(
+        "d,box_length,n,tau",
+        [(1, 40.0, 20, 0.1), (2, 20.0, 40, 0.1), (2, 9.0, 12, 5.0), (3, 8.0, 30, 0.5)],
+    )
+    def test_records_match_dense_flood(self, d, box_length, n, tau, monkeypatch):
+        cfg = SimConfig(
+            d=d, box_length=box_length, n=n, v=1.0, tau=tau, dt=0.05,
+            t_max=300.0, seed=4,
+        )
+        records = run_epidemic(cfg)
+        monkeypatch.setattr(sim_module, "flood", dense_flood)
+        assert run_epidemic(cfg) == records
+        assert len(records) > 1
 
     def test_refinement_shifts_times_by_at_most_coarse_steps(self):
         cfg = small_config(n=25, box_length=8.0, t_max=60.0, dt=0.08, seed=2)
