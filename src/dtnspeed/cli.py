@@ -1,7 +1,7 @@
 """Command-line front end: `bound`, `sweep`, `simulate`, `compare`.
 
 Exit codes: 0 success (or domination pass), 1 usage error, 2 domain or
-statistics error, 3 domination failure.
+statistics error, 3 domination failure.  Every CSV is written here.
 """
 
 import argparse
@@ -19,7 +19,7 @@ from .kernel import (
     kernel_residual,
     speed_bound,
 )
-from .sim import ConfigError, SimConfig, run_epidemic, write_records
+from .sim import ConfigError, SimConfig, run_epidemic
 from .specfun import DomainError
 from .stats import (
     StatsError,
@@ -27,7 +27,6 @@ from .stats import (
     check_bound,
     fit_slope,
     front_records,
-    write_curve,
 )
 
 EXIT_OK = 0
@@ -216,18 +215,46 @@ def _parse_nu_grid(args):
     return [args.nu_min * ratio**i for i in range(args.nu_points)]
 
 
+def _csv_field(x):
+    """Floats with 17 significant digits (they read back bit-exact), None
+    as an empty field, anything else by str."""
+    if x is None:
+        return ""
+    return f"{x:.17g}" if isinstance(x, float) else str(x)
+
+
+def _write_csv(stream, header, rows):
+    """Every CSV goes through here: a header line, then one line per row."""
+    stream.write(header + "\n")
+    for row in rows:
+        stream.write(",".join(map(_csv_field, row)) + "\n")
+
+
+def write_records(stream, rows):
+    """Serialize (run_seed, record) rows as CSV with full double precision."""
+    _write_csv(stream, "run_seed,node_id,infection_time,distance",
+               ((s, r.node_id, r.infection_time, r.distance) for s, r in rows))
+
+
+def write_curve(stream, curve):
+    """Serialize a propagation curve as CSV, one line per distance bin."""
+    _write_csv(stream, "distance,mean_time,std_error,count",
+               ((b.distance_center, b.mean_time, b.std_error, b.sample_count)
+                for b in curve.bins))
+
+
 def _write_sweep(stream, args, grid):
-    stream.write("nu,slowness,speed,rho0,theta0,status\n")
-    for nu in grid:
-        bound = speed_bound(ModelParams(d=args.dim, nu=nu, v=args.v, tau=args.tau))
-        if bound.status == BoundStatus.FINITE:
-            stream.write(
-                f"{nu:.17g},{bound.slowness:.17g},{bound.speed:.17g},"
-                f"{bound.argmin.rho:.17g},{bound.argmin.theta:.17g},"
-                f"{bound.status.value}\n"
-            )
-        else:
-            stream.write(f"{nu:.17g},{bound.slowness:.17g},,,,{bound.status.value}\n")
+    """Rows are computed as they are written, so a density that raises
+    leaves the rows before it in place."""
+
+    def rows():
+        for nu in grid:
+            bound = speed_bound(ModelParams(d=args.dim, nu=nu, v=args.v, tau=args.tau))
+            point = bound.argmin
+            rho0, theta0 = (point.rho, point.theta) if point else (None, None)
+            yield nu, bound.slowness, bound.speed, rho0, theta0, bound.status.value
+
+    _write_csv(stream, "nu,slowness,speed,rho0,theta0,status", rows())
 
 
 def _cmd_sweep(args):

@@ -7,18 +7,21 @@ The kernel is the set of (rho, theta) where
 and the information-propagation-speed upper bound is the smallest ratio
 theta/rho on that set.  The bound is finite only for densities below the
 threshold 1/V_D (V_D the unit-ball volume).
+
+`speed_bound` is the one minimiser of theta/rho.  It returns a finite
+bound or raises DomainError, also where double precision runs out.
 """
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
 from .specfun import (
+    MAX_ARG,
     DomainError,
     UNIT_BALL_VOLUME,
-    bessel_i0,
-    bessel_i1,
     check_dim,
     psi,
     xi,
@@ -28,6 +31,9 @@ from .specfun import (
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SCAN_POINTS = 2000
 _POLE_CLIP = 1.0 - 1e-9   # keep the search strictly left of the pole
+# theta = (tau + theta) - tau keeps about six digits only while theta is at
+# least this many rounding units of tau + theta
+_THETA_ULPS = 1e6
 
 
 @dataclass(frozen=True)
@@ -98,7 +104,7 @@ def pole_rho(params):
     """Right edge of the rho search interval: the root of nu*Psi_D(rho) = 1.
 
     Returns +inf for nu = 0; raises for nu >= 1/V_D where the pole
-    collapses to the origin.
+    collapses to the origin, and where the pole lies past MAX_ARG.
     """
     if params.nu >= params.threshold:
         raise DomainError(
@@ -108,8 +114,13 @@ def pole_rho(params):
         return math.inf
     lo, hi = 0.0, 1.0
     while params.nu * psi(params.d, hi) < 1.0:
+        if hi == MAX_ARG:
+            raise DomainError(
+                f"density {params.nu} puts the kernel pole past the overflow "
+                f"guard {MAX_ARG}"
+            )
         lo = hi
-        hi *= 2.0
+        hi = min(2.0 * hi, MAX_ARG)
     while hi - lo > 1e-12 * hi:
         mid = 0.5 * (lo + hi)
         if params.nu * psi(params.d, mid) < 1.0:
@@ -154,7 +165,7 @@ def kernel_residual(params, point):
 
 
 def _golden_min(f, lo, hi, rel_tol):
-    """Golden-section minimization of a unimodal f on [lo, hi]."""
+    """Argmin of a unimodal f on [lo, hi] by golden-section search."""
     c = hi - _GOLDEN * (hi - lo)
     d = lo + _GOLDEN * (hi - lo)
     fc, fd = f(c), f(d)
@@ -167,22 +178,22 @@ def _golden_min(f, lo, hi, rel_tol):
             lo, c, fc = c, d, fd
             d = lo + _GOLDEN * (hi - lo)
             fd = f(d)
-    x = 0.5 * (lo + hi)
-    return x, f(x)
+    return 0.5 * (lo + hi)
 
 
-def _minimize_ratio(f, rho_star):
-    """Coarse log-grid scan plus golden-section refinement of f on (0, rho_star).
+def _minimize_ratio(params, rho_star):
+    """Argmin of theta/rho on (0, rho_star): a coarse log-grid scan, then
+    golden-section refinement of the best bracket.
 
     The scan guards against the (unproven) possibility of multiple local
-    minima; refinement then polishes the best bracket.
+    minima.  Its left edge 1e-6*rho_star can lie above the argmin (tau > 0
+    and small nu), so a best point on that edge is refined on (0, grid[1]).
     """
-    raw = f
 
-    def f(r):
+    def ratio(r):
         # points rounding past the pole act as +inf, never as candidates
         try:
-            return raw(r)
+            return theta_of_rho(params, r) / r
         except DomainError:
             return math.inf
 
@@ -190,11 +201,11 @@ def _minimize_ratio(f, rho_star):
     hi = _POLE_CLIP * rho_star
     step = (hi / lo) ** (1.0 / (_SCAN_POINTS - 1))
     grid = [lo * step**i for i in range(_SCAN_POINTS)]
-    values = [f(r) for r in grid]
+    values = [ratio(r) for r in grid]
     i = min(range(_SCAN_POINTS), key=values.__getitem__)
-    left = grid[max(i - 1, 0)]
+    left = grid[i - 1] if i else 0.0
     right = grid[min(i + 1, _SCAN_POINTS - 1)]
-    return _golden_min(f, left, right, 1e-10)
+    return _golden_min(ratio, left, right, 1e-10)
 
 
 def speed_bound(params):
@@ -219,11 +230,13 @@ def speed_bound(params):
         return SpeedBound(
             status=BoundStatus.DEGENERATE_ZERO_DENSITY, slowness=math.inf
         )
-    rho_star = pole_rho(params)
-    rho0, ratio = _minimize_ratio(
-        lambda r: theta_of_rho(params, r) / r, rho_star
-    )
+    rho0 = _minimize_ratio(params, pole_rho(params))
     theta0 = theta_of_rho(params, rho0)
+    if theta0 < _THETA_ULPS * sys.float_info.epsilon * (params.tau + theta0):
+        raise DomainError(
+            f"density {params.nu} is too small for tau = {params.tau}: "
+            f"theta = {theta0:.3g} is lost to rounding against tau"
+        )
     speed = theta0 / rho0
     return SpeedBound(
         status=BoundStatus.FINITE,
@@ -256,28 +269,3 @@ def asymptotic_speed_random_walk(params):
         raise DomainError("density must be below 1/pi")
     h0 = 4.0 * math.pi * params.v / (1.0 - math.pi * params.nu)
     return params.v * math.sqrt(2.0 * params.nu * h0 / params.tau)
-
-
-def asymptotic_speed_billiard(params):
-    """Billiard (tau = 0) speed bound v*sqrt(1 + (H1(rho0)/rho0)^2), D=2 only.
-
-    H1(rho) = 4*pi*nu*I0(rho) / (1 - 2*pi*nu*I1(rho)/rho), and rho0
-    minimizes H1(rho)/rho on (0, pole).  Algebraically identical to
-    speed_bound at tau = 0, D=2.
-    """
-    if params.d != 2:
-        raise DomainError("billiard asymptotic is derived for D=2 only")
-    if params.tau != 0.0:
-        raise DomainError("billiard asymptotic requires tau = 0")
-    if params.nu >= params.threshold:
-        raise DomainError("density must be below 1/pi")
-    if params.nu == 0.0:
-        return params.v
-
-    def h1_over_rho(rho):
-        denom = 1.0 - 2.0 * math.pi * params.nu * bessel_i1(rho) / rho
-        return 4.0 * math.pi * params.nu * bessel_i0(rho) / (denom * rho)
-
-    rho_star = pole_rho(params)
-    _, g0 = _minimize_ratio(h1_over_rho, rho_star)
-    return params.v * math.sqrt(1.0 + g0 * g0)

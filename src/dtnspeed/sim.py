@@ -14,6 +14,8 @@ only over the direction changes, and `flood` finds neighbours on a
 linked-cell grid of at most 16 cells per node instead of an n x n
 distance matrix.  Every range decision is the same float comparison as
 the dense one, so records do not depend on the grid.
+
+The module does no I/O: `cli.write_records` writes the records as CSV.
 """
 
 import math
@@ -295,38 +297,32 @@ def flood(world):
     multi-hop relay.  Returns the new records; idempotent when no new
     contact exists.
 
-    The seed wave is the susceptibles in range of an infected node; the
-    closure is a breadth-first search whose every level queries the
-    still-unreached susceptibles against the nodes reached last.  Both use
-    the linked-cell query `_within_range`, so a call is O(n) array work
-    when nodes are sparse."""
+    The closure is a breadth-first search with the infected nodes as level
+    0: every level queries the still-unreached susceptibles against the
+    nodes reached last with the linked-cell query `_within_range`, so a
+    call is O(n) array work when nodes are sparse."""
     records = []
     if world.infected.all():
         return records
     config = world.config
     pos = world.positions
-    sus_idx = (~world.infected).nonzero()[0]
-    sus_pos = pos[sus_idx]
-
-    reached = _within_range(
-        sus_pos, pos[world.infected], config.radio_range, config.box_length
-    )
-    frontier = reached.nonzero()[0]
-    if not frontier.size:
-        return records
-    while frontier.size:
-        unreached = (~reached).nonzero()[0]
+    unreached = (~world.infected).nonzero()[0]
+    level = pos[world.infected]
+    reached = []
+    while True:
         hit = _within_range(
-            sus_pos[unreached], sus_pos[frontier],
-            config.radio_range, config.box_length,
+            pos[unreached], level, config.radio_range, config.box_length
         )
         frontier = unreached[hit]
-        reached[frontier] = True
+        if not frontier.size:
+            break
+        reached.extend(frontier.tolist())
+        unreached = unreached[~hit]
+        level = pos[frontier]
 
     now = world.time
     origin = world.source_origin
-    for k in np.flatnonzero(reached):
-        i = int(sus_idx[k])
+    for i in sorted(reached):
         world.infected[i] = True
         world.infection_time[i] = now
         dist = float(np.linalg.norm(pos[i] - origin))
@@ -350,12 +346,3 @@ def run_epidemic(config):
         records.extend(flood(world))
     records.sort(key=lambda r: (r.infection_time, r.node_id))
     return records
-
-
-def write_records(stream, rows):
-    """Serialize (run_seed, record) rows as CSV with full double precision."""
-    stream.write("run_seed,node_id,infection_time,distance\n")
-    for seed, rec in rows:
-        stream.write(
-            f"{seed},{rec.node_id},{rec.infection_time:.17g},{rec.distance:.17g}\n"
-        )

@@ -37,58 +37,58 @@ def check_dim(d):
     return d
 
 
-def bessel_i0(x):
-    """Modified Bessel function I0(x) by power series.
-
-    Valid for 0 <= x <= MAX_ARG; the term cap grows with x, so the series
-    converges in double precision over that whole range.
-    """
-    if x < 0.0:
-        raise DomainError(f"bessel_i0 requires x >= 0, got {x}")
+def _domain_error(name, var, x):
+    """The one error for an argument outside [0, MAX_ARG].  Callers test
+    `0.0 <= x <= MAX_ARG` inline (NaN fails it too): a helper call per
+    evaluation would cost the speed-bound scan several percent."""
     if x > MAX_ARG:
-        raise DomainError(f"bessel_i0 argument {x} exceeds overflow guard {MAX_ARG}")
+        return DomainError(f"{name} argument {x} exceeds overflow guard {MAX_ARG}")
+    return DomainError(f"{name} requires {var} >= 0, got {x}")
+
+
+def _bessel_series(x, order):
+    """Power series of I_order(x) for order 0 or 1 and 0 <= x <= MAX_ARG.
+
+    The term cap grows with x, so the series converges in double
+    precision over that whole range.
+    """
     q = 0.25 * x * x
-    term = 1.0
-    total = 1.0
+    term = (0.5 * x) ** order
+    total = term
     for k in range(1, _SERIES_CAP + int(x) + 1):
-        term *= q / (k * k)
+        term *= q / (k * (k + order))
         total += term
-        if term < 1e-16 * total:
+        if term < 1e-16 * total or total == 0.0:
             break
     return total
+
+
+def bessel_i0(x):
+    """Modified Bessel function I0(x) by power series, 0 <= x <= MAX_ARG."""
+    if not 0.0 <= x <= MAX_ARG:
+        raise _domain_error("bessel_i0", "x", x)
+    return _bessel_series(x, 0)
 
 
 def bessel_i1(x):
     """Modified Bessel function I1(x) by power series; domain as bessel_i0."""
-    if x < 0.0:
-        raise DomainError(f"bessel_i1 requires x >= 0, got {x}")
-    if x > MAX_ARG:
-        raise DomainError(f"bessel_i1 argument {x} exceeds overflow guard {MAX_ARG}")
-    q = 0.25 * x * x
-    term = 0.5 * x
-    total = term
-    for k in range(1, _SERIES_CAP + int(x) + 1):
-        term *= q / (k * (k + 1))
-        total += term
-        if term < 1e-16 * abs(total) or total == 0.0:
-            break
-    return total
+    if not 0.0 <= x <= MAX_ARG:
+        raise _domain_error("bessel_i1", "x", x)
+    return _bessel_series(x, 1)
 
 
 def xi(d, rho):
     """Xi_D(rho): 2*cosh(rho), 2*pi*I0(rho), 4*pi*sinh(rho)/rho for D=1,2,3."""
     check_dim(d)
-    if rho < 0.0:
-        raise DomainError(f"xi requires rho >= 0, got {rho}")
-    if rho > MAX_ARG:
-        raise DomainError(f"xi argument {rho} exceeds overflow guard {MAX_ARG}")
+    if not 0.0 <= rho <= MAX_ARG:
+        raise _domain_error("xi", "rho", rho)
     if d == 1:
         if rho < _SMALL_RHO:
             r2 = rho * rho
             return 2.0 * (1.0 + r2 / 2.0 + r2 * r2 / 24.0)
         return 2.0 * math.cosh(rho)
     if d == 2:
-        return 2.0 * math.pi * bessel_i0(rho)
+        return 2.0 * math.pi * _bessel_series(rho, 0)
     if rho < _SMALL_RHO:
         r2 = rho * rho
         return 4.0 * math.pi * (1.0 + r2 / 6.0 + r2 * r2 / 120.0)
@@ -98,10 +98,8 @@ def xi(d, rho):
 def psi(d, rho):
     """Psi_D(rho): the uniform-ball transform factor; Psi_D(0) = V_D."""
     check_dim(d)
-    if rho < 0.0:
-        raise DomainError(f"psi requires rho >= 0, got {rho}")
-    if rho > MAX_ARG:
-        raise DomainError(f"psi argument {rho} exceeds overflow guard {MAX_ARG}")
+    if not 0.0 <= rho <= MAX_ARG:
+        raise _domain_error("psi", "rho", rho)
     r2 = rho * rho
     if d == 1:
         if rho < _SMALL_RHO:
@@ -110,7 +108,7 @@ def psi(d, rho):
     if d == 2:
         if rho < _SMALL_RHO:
             return 2.0 * math.pi * (0.5 + r2 / 16.0 + r2 * r2 / 384.0)
-        return 2.0 * math.pi * bessel_i1(rho) / rho
+        return 2.0 * math.pi * _bessel_series(rho, 1) / rho
     # D=3: rho*cosh(rho) - sinh(rho) cancels catastrophically near 0
     if rho < _SMALL_RHO:
         return 4.0 * math.pi * (1.0 / 3.0 + r2 / 30.0 + r2 * r2 / 840.0)

@@ -1,6 +1,6 @@
 """Aggregation of infection records into time-vs-distance curves, slope
 (slowness) estimation, and the domination check against the analytical
-bound."""
+bound.  No I/O here: `cli.write_curve` writes a curve as CSV."""
 
 import json
 import math
@@ -109,6 +109,19 @@ def front_records(records):
     return out
 
 
+def _ols(xs, ys):
+    """Ordinary least-squares line ys ~ intercept + slope*xs; returns
+    (slope, intercept, sxx, rss): sxx the sum of squared x deviations,
+    rss the residual sum of squares."""
+    sxx = float(((xs - xs.mean()) ** 2).sum())
+    if sxx == 0.0:
+        raise StatsError("degenerate design: all points at one distance")
+    slope = float(((xs - xs.mean()) * (ys - ys.mean())).sum()) / sxx
+    intercept = float(ys.mean()) - slope * float(xs.mean())
+    rss = float(((ys - (intercept + slope * xs)) ** 2).sum())
+    return slope, intercept, sxx, rss
+
+
 def fit_slope(records, d_min, d_max=math.inf):
     """Ordinary least squares of infection time on distance, restricted to
     records at distance >= d_min (and <= d_max when given).  The free
@@ -122,13 +135,7 @@ def fit_slope(records, d_min, d_max=math.inf):
         raise StatsError(
             f"need at least 10 records with distance >= {d_min}, got {n}"
         )
-    sxx = float(((xs - xs.mean()) ** 2).sum())
-    if sxx == 0.0:
-        raise StatsError("degenerate design: all records at one distance")
-    slope = float(((xs - xs.mean()) * (ys - ys.mean())).sum()) / sxx
-    intercept = float(ys.mean()) - slope * float(xs.mean())
-    residuals = ys - (intercept + slope * xs)
-    rss = float((residuals**2).sum())
+    slope, intercept, sxx, rss = _ols(xs, ys)
     stderr = math.sqrt(rss / (n - 2) / sxx) if n > 2 else 0.0
     return SlopeFit(
         slope=slope,
@@ -151,8 +158,7 @@ def curve_r_squared(curve, d_min, d_max=math.inf):
         raise StatsError(f"need at least 3 bins past d_min={d_min}, got {len(pts)}")
     xs = np.asarray([p[0] for p in pts])
     ys = np.asarray([p[1] for p in pts])
-    slope, intercept = np.polyfit(xs, ys, 1)
-    rss = float(((ys - (intercept + slope * xs)) ** 2).sum())
+    rss = _ols(xs, ys)[3]
     tss = float(((ys - ys.mean()) ** 2).sum())
     if tss == 0.0:
         return 1.0
@@ -174,21 +180,4 @@ def check_bound(fit, bound):
         stderr=fit.slope_std_error,
         margin=margin,
         passed=passed,
-    )
-
-
-def write_curve(stream, curve):
-    stream.write("distance,mean_time,std_error,count\n")
-    for b in curve.bins:
-        stream.write(
-            f"{b.distance_center:.17g},{b.mean_time:.17g},"
-            f"{b.std_error:.17g},{b.sample_count}\n"
-        )
-
-
-def write_fit(stream, fit):
-    stream.write("slope,intercept,slope_std_error,d_min,d_max\n")
-    stream.write(
-        f"{fit.slope:.17g},{fit.intercept:.17g},{fit.slope_std_error:.17g},"
-        f"{fit.fit_window[0]:.17g},{fit.fit_window[1]:.17g}\n"
     )

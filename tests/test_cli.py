@@ -53,6 +53,20 @@ class TestSweep:
         assert all(b <= a for a, b in zip(slow, slow[1:]))
         assert slow[-1] == 0.0  # 0.32 > 1/pi
 
+    def test_rows_without_a_finite_argmin(self, capsys):
+        # empty fields where there is no speed or argmin; inf where the
+        # argmin is the rho -> inf sentinel
+        for tau, rows in (
+            ("0", ["0,1,1,inf,inf,finite", "0.32000000000000001,0,,,,unbounded"]),
+            ("0.1", ["0,inf,,,,degenerate-zero-density"]),
+        ):
+            grid = ",".join(row.split(",")[0] for row in rows)
+            code = run_cli(
+                "sweep", "--dim", "2", "--v", "1", "--tau", tau, "--nu-grid", grid
+            )
+            assert code == 0
+            assert capsys.readouterr().out.splitlines()[1:] == rows
+
     def test_random_walk_slowness_diverges_at_zero_density(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = run_cli(

@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize, special
 
 from dtnspeed.kernel import (
     BoundStatus,
     KernelPoint,
     ModelParams,
-    asymptotic_speed_billiard,
     asymptotic_speed_random_walk,
     coupling,
     kernel_residual,
@@ -16,7 +16,10 @@ from dtnspeed.kernel import (
     speed_bound,
     theta_of_rho,
 )
-from dtnspeed.specfun import DomainError, psi, y
+from dtnspeed.specfun import UNIT_BALL_VOLUME, DomainError, psi, y
+
+# Xi_D(0): 2, 2*pi, 4*pi
+XI_AT_ZERO = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
 
 def bisect_theta(params, rho, tol=1e-12):
@@ -38,6 +41,50 @@ def bisect_theta(params, rho, tol=1e-12):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def billiard_oracle(params):
+    """The paper's billiard (tau = 0, D=2) bound v*sqrt(1 + (H1(rho0)/rho0)^2),
+    H1(rho) = 4*pi*nu*I0(rho) / (1 - 2*pi*nu*I1(rho)/rho) and rho0 the
+    argmin of H1(rho)/rho on (0, pole).  Built from scipy's Bessel
+    functions, root finder and bounded minimiser, so it shares no code
+    with speed_bound."""
+    if params.d != 2:
+        raise DomainError("billiard formula is derived for D=2 only")
+    if params.tau != 0.0:
+        raise DomainError("billiard formula requires tau = 0")
+    nu = params.nu
+    if nu == 0.0:
+        return params.v
+
+    def pole_gap(rho):
+        return 1.0 - 2.0 * math.pi * nu * special.i1(rho) / rho
+
+    hi = 1.0
+    while pole_gap(hi) > 0.0:
+        hi *= 2.0
+    pole = optimize.brentq(pole_gap, 1e-12, hi, xtol=1e-14, rtol=1e-15)
+
+    def h1_over_rho(rho):
+        return 4.0 * math.pi * nu * special.i0(rho) / (pole_gap(rho) * rho)
+
+    res = optimize.minimize_scalar(
+        h1_over_rho,
+        bounds=(1e-9 * pole, (1.0 - 1e-9) * pole),
+        method="bounded",
+        options={"xatol": 1e-10},
+    )
+    return params.v * math.sqrt(1.0 + res.fun * res.fun)
+
+
+def small_density_speed(params):
+    """Leading small-density speed for tau > 0 in any D: near rho = 0,
+    theta = c*nu + (rho*v)^2 / (D*tau) with c = 2*v*Xi_D(0)/(1 - nu*V_D),
+    so the least theta/rho is 2*v*sqrt(c*nu / (D*tau)).  In D=2 this is
+    the random-walk asymptote."""
+    d, nu, v, tau = params.d, params.nu, params.v, params.tau
+    c = 2.0 * v * XI_AT_ZERO[d] / (1.0 - nu * UNIT_BALL_VOLUME[d])
+    return 2.0 * v * math.sqrt(c * nu / (d * tau))
 
 
 class TestModelParams:
@@ -103,6 +150,18 @@ class TestPoleRho:
             p = ModelParams(d=d, nu=nu, v=1.0, tau=0.0)
             r = pole_rho(p)
             assert nu * psi(d, r) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bracket_stops_at_overflow_guard(self, d):
+        # the pole lies in (512, MAX_ARG): the doubling bracket must stop at 700
+        p = ModelParams(d=d, nu=1e-250, v=1.0, tau=0.1)
+        r = pole_rho(p)
+        assert 512.0 < r < 700.0
+        assert 1e-250 * psi(d, r) == pytest.approx(1.0, rel=1e-9)
+
+    def test_pole_past_overflow_guard_raises(self):
+        with pytest.raises(DomainError, match="density 1e-300"):
+            pole_rho(ModelParams(d=3, nu=1e-300, v=1.0, tau=0.0))
 
 
 class TestThetaOfRho:
@@ -218,6 +277,47 @@ class TestSpeedBound:
         oracle = float((theta / rho).min())
         assert speed_bound(p).speed == pytest.approx(oracle, rel=1e-6)
 
+    @pytest.mark.parametrize("nu", [1e-8, 1e-10, 1e-11])
+    def test_argmin_below_scan_edge(self, nu):
+        # the argmin sqrt(8*pi*nu*tau)/v lies below the scan's left edge
+        # 1e-6*pole at these densities
+        p = ModelParams(d=2, nu=nu, v=1.0, tau=0.1)
+        b = speed_bound(p)
+        assert b.speed == pytest.approx(asymptotic_speed_random_walk(p), rel=1e-4)
+        assert b.argmin.rho == pytest.approx(
+            math.sqrt(8.0 * math.pi * nu * p.tau), rel=1e-3
+        )
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_theta_lost_to_rounding_raises(self, d):
+        with pytest.raises(DomainError, match="too small"):
+            speed_bound(ModelParams(d=d, nu=1e-20, v=1.0, tau=0.1))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_billiard_at_tiny_density(self, d):
+        assert speed_bound(ModelParams(d=d, nu=1e-250, v=1.0, tau=0.0)).speed == 1.0
+
+    @pytest.mark.parametrize("tau", [0.0, 0.1])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_right_answer_or_domain_error(self, d, tau):
+        # log-spaced densities over (0, 1/V_D): a finite positive speed,
+        # equal to the small-density limit where that holds, or a
+        # DomainError only where double precision runs out
+        threshold = 1.0 / UNIT_BALL_VOLUME[d]
+        for nu in np.geomspace(1e-300, 0.99 * threshold, 25):
+            p = ModelParams(d=d, nu=float(nu), v=1.0, tau=tau)
+            try:
+                b = speed_bound(p)
+            except DomainError:
+                assert nu < (1e-11 if tau > 0.0 else 1e-299)
+                continue
+            assert b.status == BoundStatus.FINITE
+            assert 0.0 < b.speed < math.inf
+            assert 0.0 < b.argmin.rho < pole_rho(p)
+            if nu < 1e-6:
+                expected = small_density_speed(p) if tau > 0.0 else p.v
+                assert b.speed == pytest.approx(expected, rel=1e-4)
+
     def test_monotone_in_density(self):
         speeds = []
         for nu in np.linspace(1e-4, 0.3, 12):
@@ -277,18 +377,18 @@ class TestAsymptotics:
 
     def test_billiard_zero_density(self):
         p = ModelParams(d=2, nu=0.0, v=1.5, tau=0.0)
-        assert asymptotic_speed_billiard(p) == 1.5
+        assert billiard_oracle(p) == 1.5
+        assert speed_bound(p).speed == 1.5
 
     def test_billiard_near_v(self):
         p = ModelParams(d=2, nu=1e-3, v=1.0, tau=0.0)
-        assert asymptotic_speed_billiard(p) == pytest.approx(1.0, abs=1e-3)
+        assert billiard_oracle(p) == pytest.approx(1.0, abs=1e-3)
+        assert speed_bound(p).speed == pytest.approx(billiard_oracle(p), rel=1e-9)
 
     def test_billiard_equals_full_bound(self):
         for nu in (0.01, 0.05, 0.2):
             p = ModelParams(d=2, nu=nu, v=1.0, tau=0.0)
-            assert speed_bound(p).speed == pytest.approx(
-                asymptotic_speed_billiard(p), rel=1e-9
-            )
+            assert speed_bound(p).speed == pytest.approx(billiard_oracle(p), rel=1e-9)
 
     def test_billiard_quadratic_excess(self):
         e3 = speed_bound(ModelParams(d=2, nu=1e-3, v=1.0, tau=0.0)).speed - 1.0
@@ -299,6 +399,6 @@ class TestAsymptotics:
         with pytest.raises(DomainError):
             asymptotic_speed_random_walk(ModelParams(d=2, nu=0.01, v=1.0, tau=0.0))
         with pytest.raises(DomainError):
-            asymptotic_speed_billiard(ModelParams(d=2, nu=0.01, v=1.0, tau=0.1))
+            billiard_oracle(ModelParams(d=2, nu=0.01, v=1.0, tau=0.1))
         with pytest.raises(DomainError):
-            asymptotic_speed_billiard(ModelParams(d=1, nu=0.01, v=1.0, tau=0.0))
+            billiard_oracle(ModelParams(d=1, nu=0.01, v=1.0, tau=0.0))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dtnspeed.cli import write_records
 import dtnspeed.sim as sim_module
 from dtnspeed.sim import (
     CENTER,
@@ -15,7 +16,6 @@ from dtnspeed.sim import (
     fold_positions,
     init_world,
     run_epidemic,
-    write_records,
 )
 
 

@@ -69,10 +69,12 @@ class TestBessel:
 
     def test_domain(self):
         for fn in (bessel_i0, bessel_i1):
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError, match=r"requires x >= 0, got -1e-09$"):
                 fn(-1e-9)
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError, match="701.0 exceeds overflow guard 700.0"):
                 fn(701.0)
+            with pytest.raises(DomainError):
+                fn(math.nan)
 
     def test_series_oracle_grid(self):
         # up to MAX_ARG, where the series needs over 400 terms
@@ -100,8 +102,12 @@ class TestXi:
             assert xi(d, 0.99e-4) == pytest.approx(xi(d, 1.01e-4), rel=1e-7)
 
     def test_negative_rho(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^xi requires rho >= 0, got -0.1$"):
             xi(2, -0.1)
+        with pytest.raises(DomainError, match=r"^xi argument 701.0 exceeds"):
+            xi(1, 701.0)
+        with pytest.raises(DomainError):
+            xi(3, math.nan)
 
 
 class TestPsi:
@@ -114,8 +120,12 @@ class TestPsi:
             assert psi(d, 0.99e-4) == pytest.approx(psi(d, 1.01e-4), rel=1e-7)
 
     def test_negative_rho(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^psi requires rho >= 0, got -1.0$"):
             psi(3, -1.0)
+        with pytest.raises(DomainError, match=r"^psi argument inf exceeds"):
+            psi(2, math.inf)
+        with pytest.raises(DomainError):
+            psi(2, math.nan)
 
 
 class TestMonotonicity:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dtnspeed.cli import write_curve
 from dtnspeed.kernel import BoundStatus, KernelPoint, SpeedBound
 from dtnspeed.sim import InfectionRecord
 from dtnspeed.stats import (
@@ -15,8 +16,6 @@ from dtnspeed.stats import (
     curve_r_squared,
     fit_slope,
     front_records,
-    write_curve,
-    write_fit,
 )
 
 
@@ -205,12 +204,3 @@ class TestWriters:
         lines = buf.getvalue().splitlines()
         assert lines[0] == "distance,mean_time,std_error,count"
         assert len(lines) == 3
-
-    def test_fit_csv(self):
-        fit = SlopeFit(slope=1.5, intercept=0.25, slope_std_error=0.1, fit_window=(5.0, 40.0))
-        buf = io.StringIO()
-        write_fit(buf, fit)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "slope,intercept,slope_std_error,d_min,d_max"
-        values = [float(tok) for tok in lines[1].split(",")]
-        assert values == [1.5, 0.25, 0.1, 5.0, 40.0]
