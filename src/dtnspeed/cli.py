@@ -143,23 +143,23 @@ def _run_one(config_kwargs, seed):
 
 def _run_many(config_kwargs, first_seed, runs):
     """Independent runs with seeds first_seed, first_seed+1, ...; results
-    ordered by seed regardless of worker count."""
+    ordered by seed regardless of worker count (`pool.map` keeps input
+    order)."""
     seeds = [first_seed + k for k in range(runs)]
     workers = _worker_count()
     if workers == 1:
-        results = [_run_one(config_kwargs, s) for s in seeds]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(_run_one, [config_kwargs] * runs, seeds)
-            )
-    results.sort(key=lambda pair: pair[0])
-    return results
+        return [_run_one(config_kwargs, s) for s in seeds]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_run_one, [config_kwargs] * runs, seeds))
 
 
 def _sim_kwargs(args):
     _required(args, ["dim", "L", "v", "tau"])
     _defaults(args, dt=0.05, tmax=1000.0, seed=0, runs=1)
+    for name in ("nu", "L"):
+        value = getattr(args, name)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
     if args.range is None:
         args.range = 1.0
     if args.n is None:
@@ -281,7 +281,6 @@ def _cmd_simulate(args):
         fraction = len(records) / args.n
         print(f"run seed={seed}: infected {len(records)}/{args.n} ({fraction:.3f})")
         rows.extend((seed, rec) for rec in records)
-    rows.sort(key=lambda pair: (pair[0], pair[1].infection_time, pair[1].node_id))
     with open(args.out, "w") as fh:
         write_records(fh, rows)
     print(f"wrote {len(rows)} records to {args.out}")

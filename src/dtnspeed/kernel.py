@@ -46,13 +46,14 @@ class ModelParams:
     tau: float
 
     def __post_init__(self):
+        # written so that NaN fails every check
         check_dim(self.d)
-        if self.nu < 0.0:
-            raise DomainError(f"nu must be >= 0, got {self.nu}")
-        if self.v <= 0.0:
-            raise DomainError(f"v must be > 0, got {self.v}")
-        if self.tau < 0.0:
-            raise DomainError(f"tau must be >= 0, got {self.tau}")
+        if not 0.0 <= self.nu < math.inf:
+            raise DomainError(f"nu must be finite and >= 0, got {self.nu}")
+        if not 0.0 < self.v < math.inf:
+            raise DomainError(f"v must be finite and > 0, got {self.v}")
+        if not 0.0 <= self.tau < math.inf:
+            raise DomainError(f"tau must be finite and >= 0, got {self.tau}")
 
     @property
     def threshold(self):
@@ -244,15 +245,6 @@ def speed_bound(params):
         speed=speed,
         argmin=KernelPoint(rho=rho0, theta=theta0),
     )
-
-
-def slowness_sweep(d, v, tau, nu_grid):
-    """Slowness (1/speed) per density; 0 where the bound is unbounded."""
-    out = []
-    for nu in nu_grid:
-        bound = speed_bound(ModelParams(d=d, nu=nu, v=v, tau=tau))
-        out.append((nu, bound.slowness))
-    return out
 
 
 def asymptotic_speed_random_walk(params):

@@ -20,7 +20,7 @@ The module does no I/O: `cli.write_records` writes the records as CSV.
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -46,32 +46,38 @@ class SimConfig:
     source_placement: str = CENTER
 
     def __post_init__(self):
+        # written so that NaN fails every check; every float must be finite
         problems = []
         if self.d not in (1, 2, 3):
             problems.append(f"d must be 1, 2 or 3, got {self.d}")
-        if self.radio_range <= 0.0:
-            problems.append(f"radio_range must be > 0, got {self.radio_range}")
-        elif self.box_length <= 2.0 * self.radio_range:
+        range_ok = 0.0 < self.radio_range < math.inf
+        if not range_ok:
             problems.append(
-                f"box_length must exceed 2*radio_range, got L={self.box_length}"
+                f"radio_range must be finite and > 0, got {self.radio_range}"
             )
-        if self.n < 2:
+        elif not 2.0 * self.radio_range < self.box_length < math.inf:
+            problems.append(
+                f"box_length must be finite and exceed 2*radio_range, "
+                f"got L={self.box_length}"
+            )
+        if not self.n >= 2:
             problems.append(f"n must be >= 2, got {self.n}")
-        if self.v <= 0.0:
-            problems.append(f"v must be > 0, got {self.v}")
-        if self.tau < 0.0:
-            problems.append(f"tau must be >= 0, got {self.tau}")
-        if self.dt <= 0.0:
-            problems.append(f"dt must be > 0, got {self.dt}")
-        elif self.radio_range > 0.0 and self.v > 0.0 and (
+        v_ok = 0.0 < self.v < math.inf
+        if not v_ok:
+            problems.append(f"v must be finite and > 0, got {self.v}")
+        if not 0.0 <= self.tau < math.inf:
+            problems.append(f"tau must be finite and >= 0, got {self.tau}")
+        if not 0.0 < self.dt < math.inf:
+            problems.append(f"dt must be finite and > 0, got {self.dt}")
+        elif range_ok and v_ok and (
             self.dt > 0.1 * self.radio_range / self.v + 1e-15
         ):
             problems.append(
                 f"dt={self.dt} exceeds the contact-miss guard "
                 f"0.1*radio_range/v = {0.1 * self.radio_range / self.v}"
             )
-        if self.t_max <= 0.0:
-            problems.append(f"t_max must be > 0, got {self.t_max}")
+        if not 0.0 < self.t_max < math.inf:
+            problems.append(f"t_max must be finite and > 0, got {self.t_max}")
         if self.source_placement not in (CENTER, UNIFORM_RANDOM):
             problems.append(
                 f"source_placement must be {CENTER!r} or {UNIFORM_RANDOM!r}, "
@@ -99,10 +105,8 @@ class World:
     positions: np.ndarray        # (n, d), componentwise in [0, L]
     directions: np.ndarray       # (n, d), unit vectors
     next_turn_time: np.ndarray   # (n,), +inf when tau = 0
-    infected: np.ndarray         # (n,) bool, monotone
-    infection_time: np.ndarray   # (n,), nan until infected
+    infected: np.ndarray         # (n,) bool, monotone; node 0 is the source
     turn_count: np.ndarray       # (n,) int, diagnostics
-    source_index: int
     source_origin: np.ndarray    # source position at t = 0
     node_rngs: List[np.random.Generator] = field(repr=False, default_factory=list)
 
@@ -146,8 +150,6 @@ def init_world(config):
 
     infected = np.zeros(n, dtype=bool)
     infected[0] = True
-    infection_time = np.full(n, math.nan)
-    infection_time[0] = 0.0
 
     return World(
         config=config,
@@ -156,9 +158,7 @@ def init_world(config):
         directions=directions,
         next_turn_time=next_turn,
         infected=infected,
-        infection_time=infection_time,
         turn_count=np.zeros(n, dtype=np.int64),
-        source_index=0,
         source_origin=positions[0].copy(),
         node_rngs=node_rngs,
     )
@@ -180,50 +180,46 @@ def fold_positions(positions, directions, length):
         directions[outside] = -directions[outside]
 
 
+def _within_t_max(time, config):
+    """True while `time` is not past t_max, with a relative slack of 1e-9
+    so that a run of t_max/dt steps is not cut short by rounding."""
+    return time <= config.t_max + 1e-9 * max(1.0, config.t_max)
+
+
 def advance(world):
     """Advance every node by one dt: straight motion with wall reflection,
     with Poisson direction changes applied at their exact scheduled times
     (any number per step).  Mutates and returns the world.
 
-    Turns are taken in rounds.  Each round moves every node whose next
-    turn falls inside the step to that turn time with one array move, then
-    redraws those nodes' directions and turn times from their own RNG
-    streams.  One array move then carries all n nodes to the step end;
-    nodes that did not turn move by exactly v*dt.  The step is O(n) array
-    work plus a Python loop over the turns alone."""
+    A node whose next turn falls inside the step walks its turns one at a
+    time: move to the turn, fold, redraw the direction and the next turn
+    time from its own RNG stream.  One array move and one fold then carry
+    all n nodes to the step end; nodes that did not turn move by exactly
+    v*dt.  The step is O(n) array work plus a Python loop over the turns."""
     config = world.config
-    dt = config.dt
-    if world.time + dt > config.t_max + 1e-9 * max(1.0, config.t_max):
+    v, length = config.v, config.box_length
+    end = world.time + config.dt
+    if not _within_t_max(end, config):
         raise ConfigError("advance would step past t_max")
-    end = world.time + dt
 
-    last_turn = np.full(config.n, world.time)
-    turned = (world.next_turn_time < end).nonzero()[0]
-    due = turned
-    while due.size:
-        step = config.v * (world.next_turn_time[due] - last_turn[due])
-        pos = world.positions[due] + world.directions[due] * step[:, None]
-        # fancy indexing copies; the folded directions are dropped
-        # because every due node draws a new one below
-        fold_positions(pos, world.directions[due], config.box_length)
-        world.positions[due] = pos
-        last_turn[due] = world.next_turn_time[due]
-        directions, increments = [], []
-        for i in due:
-            rng = world.node_rngs[i]
-            directions.append(_isotropic_direction(rng, config.d))
-            increments.append(_turn_increment(rng, config.tau))
-        world.directions[due] = directions
-        world.next_turn_time[due] = last_turn[due] + increments
-        world.turn_count[due] += 1
-        due = due[world.next_turn_time[due] < end]
-
-    # nodes that did not turn move by exactly v*dt; end - time can differ
-    # from dt in the last bit
-    step = np.full(config.n, config.v * dt)
-    step[turned] = config.v * (end - last_turn[turned])
+    # a node that does not turn moves by exactly v*dt: end - time can
+    # differ from dt in the last bit
+    step = np.full(config.n, v * config.dt)
+    for i in (world.next_turn_time < end).nonzero()[0]:
+        rng = world.node_rngs[i]
+        pos, dirn = world.positions[i : i + 1], world.directions[i : i + 1]
+        t = world.time
+        while world.next_turn_time[i] < end:
+            turn = world.next_turn_time[i]
+            pos += dirn * (v * (turn - t))
+            fold_positions(pos, dirn, length)
+            dirn[0] = _isotropic_direction(rng, config.d)
+            world.next_turn_time[i] = turn + _turn_increment(rng, config.tau)
+            world.turn_count[i] += 1
+            t = turn
+        step[i] = v * (end - t)
     world.positions += world.directions * step[:, None]
-    fold_positions(world.positions, world.directions, config.box_length)
+    fold_positions(world.positions, world.directions, length)
 
     world.time = end
     return world
@@ -294,8 +290,8 @@ def _within_range(query, target, radio_range, box_length):
 def flood(world):
     """Infect every node in a connected component (unit-disk graph on the
     current positions) that touches an infected node; instantaneous
-    multi-hop relay.  Returns the new records; idempotent when no new
-    contact exists.
+    multi-hop relay.  Returns the new records, in node order and all at
+    the current time; idempotent when no new contact exists.
 
     The closure is a breadth-first search with the infected nodes as level
     0: every level queries the still-unreached susceptibles against the
@@ -324,7 +320,6 @@ def flood(world):
     origin = world.source_origin
     for i in sorted(reached):
         world.infected[i] = True
-        world.infection_time[i] = now
         dist = float(np.linalg.norm(pos[i] - origin))
         records.append(InfectionRecord(node_id=i, infection_time=now, distance=dist))
     return records
@@ -332,17 +327,15 @@ def flood(world):
 
 def run_epidemic(config):
     """Full run: init, flood at t = 0, then alternate advance and flood
-    until t_max or total infection.  Records sorted by infection time."""
+    until t_max or total infection.
+
+    Records are in (infection_time, node_id) order, the source first: each
+    flood returns its wave in node order at one time, and the waves are
+    appended in time order."""
     world = init_world(config)
-    records = [
-        InfectionRecord(node_id=world.source_index, infection_time=0.0, distance=0.0)
-    ]
+    records = [InfectionRecord(node_id=0, infection_time=0.0, distance=0.0)]
     records.extend(flood(world))
-    while (
-        world.time + config.dt <= config.t_max + 1e-9 * max(1.0, config.t_max)
-        and not world.infected.all()
-    ):
+    while _within_t_max(world.time + config.dt, config) and not world.infected.all():
         advance(world)
         records.extend(flood(world))
-    records.sort(key=lambda r: (r.infection_time, r.node_id))
     return records

@@ -38,6 +38,32 @@ class TestBound:
         assert run_cli("bound", "--dim", "2", "--nu", "-1", "--v", "1", "--tau", "0") == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "--dim", "2", "--nu", "nan", "--v", "1", "--tau", "0.1"],
+        ["bound", "--dim", "2", "--nu", "0.1", "--v", "inf", "--tau", "0.1"],
+        ["bound", "--dim", "2", "--nu", "0.1", "--v", "1", "--tau", "nan"],
+        ["simulate", "--dim", "2", "--L", "nan", "--nu", "0.1", "--v", "1",
+         "--tau", "0"],
+        ["simulate", "--dim", "2", "--L", "10", "--nu", "nan", "--v", "1",
+         "--tau", "0"],
+        ["simulate", "--dim", "2", "--L", "inf", "--n", "5", "--v", "1",
+         "--tau", "0"],
+        ["simulate", "--dim", "2", "--L", "10", "--n", "5", "--v", "1",
+         "--tau", "nan"],
+        ["compare", "--dim", "2", "--L", "10", "--nu", "inf", "--v", "1",
+         "--tau", "0"],
+    ],
+)
+def test_non_finite_input_is_one_error_line(argv, tmp_path, capsys):
+    code = run_cli(*argv, "--out", str(tmp_path / "out.csv"))
+    err = capsys.readouterr().err
+    assert code in (1, 2)
+    assert len(err.splitlines()) == 1
+    assert "error:" in err
+
+
 class TestSweep:
     def test_billiard_slowness_drops_to_zero(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -215,3 +241,10 @@ class TestEntryPoint:
         monkeypatch.setenv("DTN_SPEED_THREADS", "3")
         assert run_cli(*args, "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
+        # rows in strict (run_seed, infection_time, node_id) order
+        keys = []
+        for line in a.read_text().splitlines()[1:]:
+            seed, node, time, _ = line.split(",")
+            keys.append((int(seed), float(time), int(node)))
+        assert all(x < y for x, y in zip(keys, keys[1:]))
+        assert {k[0] for k in keys} == {0, 1, 2}

@@ -12,7 +12,6 @@ from dtnspeed.kernel import (
     coupling,
     kernel_residual,
     pole_rho,
-    slowness_sweep,
     speed_bound,
     theta_of_rho,
 )
@@ -97,6 +96,13 @@ class TestModelParams:
             ModelParams(d=2, nu=0.1, v=1.0, tau=-1.0)
         with pytest.raises(DomainError):
             ModelParams(d=4, nu=0.1, v=1.0, tau=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["nu", "v", "tau"])
+    def test_rejects_non_finite(self, name, value):
+        fields = {"d": 2, "nu": 0.1, "v": 1.0, "tau": 0.1, name: value}
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            ModelParams(**fields)
 
     def test_threshold(self):
         assert ModelParams(d=1, nu=0.0, v=1.0, tau=0.0).threshold == 0.5
@@ -338,17 +344,21 @@ class TestSpeedBound:
 
 
 class TestSlownessSweep:
+    """Slowness (1/speed) across densities, one speed_bound per density."""
+
+    @staticmethod
+    def slowness(nu, tau):
+        return speed_bound(ModelParams(d=2, nu=nu, v=1.0, tau=tau)).slowness
+
     def test_near_zero_density_billiard(self):
-        out = slowness_sweep(2, 1.0, 0.0, [1e-5])
-        assert out[0][1] == pytest.approx(1.0, abs=1e-3)
+        assert self.slowness(1e-5, 0.0) == pytest.approx(1.0, abs=1e-3)
 
     def test_zero_at_threshold(self):
-        out = slowness_sweep(2, 1.0, 0.1, [1.0 / math.pi])
-        assert out[0][1] == 0.0
+        assert self.slowness(1.0 / math.pi, 0.1) == 0.0
 
     def test_sqrt_density_scaling_random_walk(self):
-        out = dict(slowness_sweep(2, 1.0, 0.1, [1e-4, 4e-4]))
-        assert out[1e-4] / out[4e-4] == pytest.approx(2.0, rel=0.05)
+        ratio = self.slowness(1e-4, 0.1) / self.slowness(4e-4, 0.1)
+        assert ratio == pytest.approx(2.0, rel=0.05)
 
 
 class TestAsymptotics:

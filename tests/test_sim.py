@@ -74,7 +74,6 @@ def dense_flood(world):
     for k in np.flatnonzero(reached):
         i = int(sus_idx[k])
         world.infected[i] = True
-        world.infection_time[i] = world.time
         dist = float(np.linalg.norm(pos[i] - world.source_origin))
         records.append(
             InfectionRecord(node_id=i, infection_time=world.time, distance=dist)
@@ -130,6 +129,14 @@ class TestSimConfig:
         assert "n must be" in message
         assert "t_max" in message
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name", ["box_length", "v", "tau", "radio_range", "dt", "t_max"]
+    )
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            small_config(**{name: value})
+
     def test_contact_miss_guard(self):
         with pytest.raises(ConfigError):
             small_config(dt=0.2)
@@ -173,7 +180,6 @@ class TestInitWorld:
     def test_source_infected_at_zero(self):
         w = init_world(small_config())
         assert w.infected[0]
-        assert w.infection_time[0] == 0.0
         assert not w.infected[1:].any()
 
     def test_unit_directions(self):
@@ -453,19 +459,20 @@ class TestFlood:
         assert oracle == (set(range(len(points))) if d == 1 else set(range(11)))
 
     def test_infection_monotone(self):
+        # each call records only nodes not infected before it, and the
+        # infected set only grows, by exactly the recorded nodes
         cfg = small_config(n=25, t_max=20.0)
         w = init_world(cfg)
-        flood(w)
         previous = w.infected.copy()
-        times = w.infection_time.copy()
         for _ in range(200):
-            advance(w)
-            flood(w)
+            records = flood(w)
+            new = [r.node_id for r in records]
+            assert not previous[new].any()
             assert np.all(w.infected >= previous)
-            settled = previous
-            assert np.array_equal(w.infection_time[settled], times[settled])
+            assert set(np.flatnonzero(w.infected & ~previous)) == set(new)
             previous = w.infected.copy()
-            times = w.infection_time.copy()
+            advance(w)
+        assert previous.sum() > 1
 
 
 class TestRunEpidemic:
@@ -490,9 +497,12 @@ class TestRunEpidemic:
         assert records[0].distance == 0.0
 
     def test_sorted_by_time(self):
-        records = run_epidemic(small_config(n=20, t_max=30.0))
-        times = [r.infection_time for r in records]
-        assert times == sorted(times)
+        # strict (infection_time, node_id) order: no caller re-sorts
+        for d, box_length, n in [(1, 40.0, 20), (2, 10.0, 20), (3, 6.0, 30)]:
+            cfg = small_config(d=d, box_length=box_length, n=n, tau=0.5, t_max=60.0)
+            keys = [(r.infection_time, r.node_id) for r in run_epidemic(cfg)]
+            assert all(a < b for a, b in zip(keys, keys[1:])), d
+            assert len({t for t, _ in keys}) > 2, d
 
     def test_reproducible(self):
         cfg = small_config(n=20, t_max=30.0)
