@@ -98,21 +98,37 @@ def _build_parser():
     )
     common_flags(p)
 
+    parser.commands = sub.choices  # name -> subparser, whose flag types --config uses
     return parser
 
 
-def _apply_config_file(args):
-    """Fill unset flags from the JSON config document; explicit flags win."""
+def _config_value(key, value, kind):
+    """A config value converted by its flag's type, as the flag's text would
+    be; a bool, or a float for an int flag, is refused, not truncated."""
+    if kind is None or value is None:
+        return value
+    if not isinstance(value, bool) and not (kind is int and isinstance(value, float)):
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise UsageError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
+
+
+def _apply_config_file(args, parser):
+    """Fill unset flags from the JSON config document; explicit flags win.
+    Each value gets the type of its flag."""
     if not getattr(args, "config", None):
         return
     with open(args.config) as fh:
         doc = json.load(fh)
+    kinds = {a.dest: a.type for a in parser.commands[args.command]._actions}
     for key, value in doc.items():
         dest = key.replace("-", "_")
         if not hasattr(args, dest):
             raise UsageError(f"unknown config key {key!r}")
         if getattr(args, dest) is None:
-            setattr(args, dest, value)
+            setattr(args, dest, _config_value(key, value, kinds.get(dest)))
 
 
 def _required(args, names):
@@ -153,9 +169,22 @@ def _run_many(config_kwargs, first_seed, runs):
         return list(pool.map(_run_one, [config_kwargs] * runs, seeds))
 
 
+def _box_volume(args):
+    """L**dim, or a ConfigError when it is not a float (overflow, or 0.0
+    to a negative power)."""
+    try:
+        return args.L ** args.dim
+    except (OverflowError, ZeroDivisionError):
+        raise ConfigError(
+            f"box volume L**dim is out of range: L={args.L}, dim={args.dim}"
+        ) from None
+
+
 def _sim_kwargs(args):
     _required(args, ["dim", "L", "v", "tau"])
     _defaults(args, dt=0.05, tmax=1000.0, seed=0, runs=1)
+    if args.runs < 1:
+        raise UsageError(f"--runs must be >= 1, got {args.runs}")
     for name in ("nu", "L"):
         value = getattr(args, name)
         if value is not None and not math.isfinite(value):
@@ -164,8 +193,14 @@ def _sim_kwargs(args):
         args.range = 1.0
     if args.n is None:
         _required(args, ["nu"])
-        args.n = round(args.nu * args.L ** args.dim)
-    return dict(
+        count = args.nu * _box_volume(args)
+        if not math.isfinite(count):
+            raise ConfigError(
+                f"node count nu*L**dim overflows: nu={args.nu}, L={args.L}, "
+                f"dim={args.dim}"
+            )
+        args.n = round(count)
+    kwargs = dict(
         d=args.dim,
         box_length=args.L,
         n=args.n,
@@ -175,6 +210,8 @@ def _sim_kwargs(args):
         dt=args.dt,
         t_max=args.tmax,
     )
+    SimConfig(**kwargs)  # refuse a bad configuration before any output
+    return kwargs
 
 
 def _format_bound(params, bound):
@@ -273,7 +310,7 @@ def _cmd_sweep(args):
 def _cmd_simulate(args):
     kwargs = _sim_kwargs(args)
     _required(args, ["out"])
-    nu = args.n / args.L ** args.dim
+    nu = args.n / _box_volume(args)
     print(f"n={args.n} L={args.L} dim={args.dim} -> nu={nu:.6g}")
     results = _run_many(kwargs, args.seed, args.runs)
     rows = []
@@ -294,7 +331,7 @@ def _cmd_compare(args):
         args.dmin = 5.0 * kwargs["radio_range"]
     if args.dmax is None:
         args.dmax = 0.5 * args.L
-    nu = args.n / args.L ** args.dim
+    nu = args.n / _box_volume(args)
     params = ModelParams(d=args.dim, nu=nu, v=args.v, tau=args.tau)
     print(f"n={args.n} L={args.L} dim={args.dim} -> nu={nu:.12g}")
 
@@ -333,7 +370,7 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config_file(args)
+        _apply_config_file(args, parser)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -28,6 +28,10 @@ class DomainError(ValueError):
 
 def check_dim(d):
     """Validate a spatial dimension; only the integers 1, 2, 3 are supported."""
+    if d.__class__ is int and 1 <= d <= 3:  # xi, psi and y check every call
+        return d
+    if d is True or d is False:  # a bool is an int to operator.index
+        raise DomainError(f"dimension must be an integer, got {d!r}")
     try:
         d = operator.index(d)
     except TypeError:

@@ -64,6 +64,29 @@ def test_non_finite_input_is_one_error_line(argv, tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--dim", "3", "--L", "1e10", "--nu", "1e300"], "node count"),
+        (["--dim", "2", "--L", "1e200", "--n", "5"], "box volume"),
+        (["--dim", "2", "--L", "1e200", "--nu", "0.1"], "box volume"),
+        (["--dim", "-1", "--L", "0", "--nu", "0.1"], "box volume"),
+        (["--dim", "2", "--L", "0", "--n", "5"], "box_length"),
+    ],
+)
+def test_box_out_of_range_is_one_error_line(command, flags, message, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    code = run_cli(command, *flags, "--v", "1", "--tau", "0", "--out", str(out))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 class TestSweep:
     def test_billiard_slowness_drops_to_zero(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -172,6 +195,17 @@ class TestSimulate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("runs", ["0", "-3"])
+    def test_runs_below_one_is_a_usage_error(self, runs, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = run_cli(
+            "simulate", "--dim", "2", "--L", "10", "--n", "5", "--v", "1",
+            "--tau", "0", "--runs", runs, "--out", str(out),
+        )
+        assert code == 1
+        assert "--runs must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCompare:
     ARGS = (
@@ -218,6 +252,37 @@ class TestConfigFile:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"bogus": 1}))
         assert run_cli("bound", "--config", str(path)) == 1
+
+    SIM = {"dim": 2, "L": 10.0, "n": 5, "v": 1.0, "tau": 0.0, "tmax": 5.0}
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("L", "abc"), ("L", True), ("dim", True), ("dim", 2.5), ("dim", 2.0),
+         ("n", "five"), ("n", [5]), ("v", {"x": 1}), ("tmax", 10**400)],
+    )
+    def test_value_of_the_wrong_type(self, key, value, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**self.SIM, key: value}))
+        code = run_cli(
+            "simulate", "--config", str(path), "--out", str(tmp_path / "x.csv")
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"usage error: config key {key!r} must be " + (
+            "int" if key in ("dim", "n") else "float"
+        ) + f", got {value!r}\n"
+
+    def test_values_get_the_flag_type(self, tmp_path):
+        # strings convert as the flag's text would, ints become floats
+        doc = {**self.SIM, "L": "10", "n": "5", "v": 1, "seed": "3"}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        flags = ("simulate", "--dim", "2", "--L", "10", "--n", "5", "--v", "1",
+                 "--tau", "0", "--tmax", "5", "--seed", "3")
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_cli("simulate", "--config", str(path), "--out", str(a)) == 0
+        assert run_cli(*flags, "--out", str(b)) == 0
+        assert a.read_bytes() == b.read_bytes()
 
 
 class TestEntryPoint:

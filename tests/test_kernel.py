@@ -96,6 +96,8 @@ class TestModelParams:
             ModelParams(d=2, nu=0.1, v=1.0, tau=-1.0)
         with pytest.raises(DomainError):
             ModelParams(d=4, nu=0.1, v=1.0, tau=0.0)
+        with pytest.raises(DomainError, match="must be an integer"):
+            ModelParams(d=True, nu=0.1, v=1.0, tau=0.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["nu", "v", "tau"])

@@ -81,6 +81,33 @@ def dense_flood(world):
     return records
 
 
+def every_step_run(config, flood_step=flood):
+    """Reference run: `advance` then `flood_step` on every step, with no
+    horizon; `init_world` is looked up on the module so that a test's
+    monkeypatched world is used here too."""
+    world = sim_module.init_world(config)
+    records = [InfectionRecord(node_id=0, infection_time=0.0, distance=0.0)]
+    records.extend(flood_step(world))
+    while (sim_module._within_t_max(world.time + config.dt, config)
+           and not world.infected.all()):
+        advance(world)
+        records.extend(flood_step(world))
+    return records
+
+
+def place_two_nodes(monkeypatch, positions, directions):
+    """Make `init_world` start every run from two nodes placed by hand."""
+
+    def place(config):
+        world = init_world(config)
+        world.positions[:] = positions
+        world.directions[:] = directions
+        world.source_origin = world.positions[0].copy()
+        return world
+
+    monkeypatch.setattr(sim_module, "init_world", place)
+
+
 def _move_node_reference(world, i, duration):
     world.positions[i] += world.directions[i] * (world.config.v * duration)
     fold_positions(
@@ -136,6 +163,14 @@ class TestSimConfig:
     def test_rejects_non_finite(self, name, value):
         with pytest.raises(ConfigError, match=f"{name} must be finite"):
             small_config(**{name: value})
+
+    @pytest.mark.parametrize(
+        "name,value", [("d", 2.0), ("d", True), ("n", 2.5), ("n", 8.0), ("n", True)]
+    )
+    def test_rejects_non_integer_counts(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be"):
+            small_config(**{name: value})
+        small_config(**{name: np.int64(2)})  # numpy integers are integers
 
     def test_contact_miss_guard(self):
         with pytest.raises(ConfigError):
@@ -458,6 +493,21 @@ class TestFlood:
         # on a line every node is within range of the chain
         assert oracle == (set(range(len(points))) if d == 1 else set(range(11)))
 
+    @pytest.mark.parametrize("reach", [10.0, 1.0, 0.5])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_nearest_d2_matches_dense(self, d, reach):
+        # a row whose nearest target is within reach gets the dense
+        # matrix's exact float; any other row gets a value no smaller
+        rng = np.random.default_rng(d)
+        query = rng.uniform(0.0, 10.0, size=(200, d))
+        target = rng.uniform(0.0, 10.0, size=(100, d))
+        dense = ((query[:, None, :] - target[None, :, :]) ** 2).sum(axis=2).min(axis=1)
+        got = sim_module._nearest_d2(query, target, reach, 10.0)
+        within = dense <= reach**2
+        assert within.any()
+        np.testing.assert_array_equal(got[within], dense[within])
+        assert (got[~within] >= dense[~within]).all()
+
     def test_infection_monotone(self):
         # each call records only nodes not infected before it, and the
         # infected set only grows, by exactly the recorded nodes
@@ -532,15 +582,95 @@ class TestRunEpidemic:
         "d,box_length,n,tau",
         [(1, 40.0, 20, 0.1), (2, 20.0, 40, 0.1), (2, 9.0, 12, 5.0), (3, 8.0, 30, 0.5)],
     )
-    def test_records_match_dense_flood(self, d, box_length, n, tau, monkeypatch):
+    def test_records_match_dense_flood(self, d, box_length, n, tau):
         cfg = SimConfig(
             d=d, box_length=box_length, n=n, v=1.0, tau=tau, dt=0.05,
             t_max=300.0, seed=4,
         )
         records = run_epidemic(cfg)
-        monkeypatch.setattr(sim_module, "flood", dense_flood)
-        assert run_epidemic(cfg) == records
+        assert every_step_run(cfg, dense_flood) == records
         assert len(records) > 1
+
+    @pytest.mark.parametrize(
+        "d,box_length,n,tau,radio_range,seed",
+        [
+            (1, 40.0, 20, 0.1, 1.0, 1),
+            (1, 30.0, 25, 2.0, 1.7, 2),
+            (1, 2.5, 4, 0.0, 1.2, 3),
+            (2, 20.0, 40, 0.1, 1.0, 1),
+            (2, 9.0, 12, 5.0, 1.0, 2),
+            (2, 40.0, 160, 0.1, 1.0, 3),
+            (2, 25.0, 60, 0.3, 1.2, 1),
+            (2, 2.5, 5, 1.0, 1.2, 2),
+            (3, 8.0, 30, 0.5, 1.0, 3),
+            (3, 12.0, 40, 0.2, 3.0, 1),
+            (3, 7.0, 20, 0.0, 3.0, 2),
+            (3, 15.0, 60, 1.0, 1.7, 3),
+        ],
+    )
+    def test_matches_every_step_loop(self, d, box_length, n, tau, radio_range, seed):
+        # the skipped floods are exactly the empty ones: r not dividing L,
+        # boxes one or two cells wide, tau from billiard to fast turning
+        cfg = SimConfig(
+            d=d, box_length=box_length, n=n, v=1.0, tau=tau,
+            radio_range=radio_range, dt=0.05, t_max=100.0, seed=seed,
+        )
+        records = run_epidemic(cfg)
+        assert records == every_step_run(cfg)
+        assert len(records) > 1
+
+    # Two nodes that close at 2*v from r + 2*v*dt*j +- 1e-12 (r = 1, v*dt
+    # = 0.05), so that contact falls on the last step a horizon may skip or
+    # on the first step it must not skip.
+    GAPS = [
+        (1.0 + 0.1 * j + sign * 1e-12, j if sign < 0 else j + 1)
+        for j in range(sim_module._HORIZON_STEPS + 2)
+        for sign in (-1.0, 1.0)
+    ]
+
+    @staticmethod
+    def two_node_run(monkeypatch, lead, heading_0, heading_1, gap):
+        """Node 1 at `lead`, node 0 gap behind it along heading_0; returns
+        run_epidemic's records after checking them against every_step_run."""
+        d = len(lead)
+        positions = np.array([lead - gap * heading_0, lead])
+        place_two_nodes(monkeypatch, positions, np.array([heading_0, heading_1]))
+        cfg = SimConfig(d=d, box_length=10.0, n=2, v=1.0, tau=0.0, dt=0.05, t_max=1.0)
+        records = run_epidemic(cfg)
+        assert records == every_step_run(cfg)
+        assert len(records) == 2
+        return records
+
+    @pytest.mark.parametrize("gap,contact_step", GAPS)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_head_on_approach(self, d, gap, contact_step, monkeypatch):
+        heading = np.ones(d) / math.sqrt(d)
+        records = self.two_node_run(monkeypatch, np.full(d, 5.0), heading, -heading, gap)
+        assert records[1].infection_time == pytest.approx(0.05 * contact_step)
+
+    @pytest.mark.parametrize("gap,contact_step", GAPS)
+    @pytest.mark.parametrize("wall_steps", [0, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_approach_after_wall_reflection(
+        self, d, wall_steps, gap, contact_step, monkeypatch
+    ):
+        # both nodes head +x, so the gap holds until node 1 reaches the
+        # wall x = L after wall_steps steps; it reflects and closes head-on
+        heading = np.eye(d)[0]
+        lead = np.full(d, 5.0)
+        lead[0] = 10.0 - 0.05 * wall_steps
+        records = self.two_node_run(monkeypatch, lead, heading, heading, gap)
+        steps = contact_step + wall_steps if contact_step else 0
+        assert records[1].infection_time == pytest.approx(0.05 * steps)
+
+    @pytest.mark.parametrize("gap,contact_step", GAPS)
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_approach_after_corner_bounce(self, d, gap, contact_step, monkeypatch):
+        # node 1 starts in the corner heading out along the diagonal, so its
+        # first step reflects off every wall at once
+        heading = np.ones(d) / math.sqrt(d)
+        records = self.two_node_run(monkeypatch, np.full(d, 10.0), heading, heading, gap)
+        assert records[1].infection_time == pytest.approx(0.05 * contact_step)
 
     def test_refinement_shifts_times_by_at_most_coarse_steps(self):
         cfg = small_config(n=25, box_length=8.0, t_max=60.0, dt=0.08, seed=2)

@@ -42,7 +42,7 @@ class TestDim:
     def test_valid(self, d):
         assert check_dim(d) == d
 
-    @pytest.mark.parametrize("d", [0, 4, -1, 2.0, "2", None])
+    @pytest.mark.parametrize("d", [0, 4, -1, 2.0, "2", None, True, False])
     def test_invalid(self, d):
         with pytest.raises(DomainError):
             check_dim(d)
