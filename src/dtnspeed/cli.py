@@ -120,8 +120,22 @@ def _apply_config_file(args, parser):
     Each value gets the type of its flag."""
     if not getattr(args, "config", None):
         return
-    with open(args.config) as fh:
-        doc = json.load(fh)
+    try:
+        with open(args.config) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise UsageError(
+            f"cannot read config file {args.config!r}: {exc.strerror}"
+        ) from None
+    except ValueError as exc:  # invalid JSON or text encoding
+        raise UsageError(
+            f"config file {args.config!r} is not valid JSON: {exc}"
+        ) from None
+    if not isinstance(doc, dict):
+        raise UsageError(
+            f"config file {args.config!r} must hold a JSON object, "
+            f"got {type(doc).__name__}"
+        )
     kinds = {a.dest: a.type for a in parser.commands[args.command]._actions}
     for key, value in doc.items():
         dest = key.replace("-", "_")
@@ -242,9 +256,19 @@ def _cmd_bound(args):
 
 def _parse_nu_grid(args):
     if args.nu_grid is not None:
-        if isinstance(args.nu_grid, str):
-            return [float(tok) for tok in args.nu_grid.split(",") if tok.strip()]
-        return [float(x) for x in args.nu_grid]
+        values = args.nu_grid
+        if isinstance(values, str):
+            values = [tok for tok in values.split(",") if tok.strip()]
+        try:
+            grid = [float(x) for x in values]
+        except (TypeError, ValueError, OverflowError):
+            grid = None
+        # a bool is not a density, as for every other config value
+        if grid is None or any(isinstance(x, bool) for x in values):
+            raise UsageError(f"nu-grid must be a list of numbers, got {args.nu_grid!r}")
+        if not grid:
+            raise UsageError("nu-grid must hold at least one density")
+        return grid
     _required(args, ["nu_min", "nu_max", "nu_points"])
     if args.nu_min <= 0 or args.nu_max <= args.nu_min or args.nu_points < 2:
         raise UsageError("need 0 < nu-min < nu-max and nu-points >= 2")

@@ -10,15 +10,15 @@ under time-step refinement: only contact detection depends on dt.
 
 One step is O(n) numpy work and O(n) memory when nodes are sparse.
 `advance` runs every step: it moves all nodes as arrays and loops in
-Python only over the direction changes.  `flood` runs only on the steps
-where a contact is possible: below the percolation threshold most steps
-bring none, and a gap query (`_quiet_steps`) shows how many of the next
-floods must find nothing, from the distance between the infected and the
-unreached nodes and the speed bound v.  Both queries use one linked-cell
-grid of at most 16 cells per node (`_nearest_d2`) instead of an n x n
-distance matrix.  Every range decision is the same float comparison as
-the dense one and a skipped flood is an empty one, so records do not
-depend on the grid or the horizon.
+Python only over the direction changes.  `flood` is the only neighbour
+query, on a linked-cell grid of at most 16 cells per node (`_nearest_d2`)
+instead of an n x n distance matrix.  Below the percolation threshold
+most steps bring no contact, so a flood that finds nothing also bounds,
+from the distance between the infected and the unreached nodes and the
+speed bound v, how many of the next floods must find nothing, and
+`run_epidemic` skips them.  Every range decision is the same float
+comparison as the dense one and a skipped flood is an empty one, so
+records do not depend on the grid or the horizon.
 
 The module does no I/O: `cli.write_records` writes the records as CSV.
 """
@@ -118,6 +118,7 @@ class World:
     infected: np.ndarray         # (n,) bool, monotone; node 0 is the source
     turn_count: np.ndarray       # (n,) int, diagnostics
     source_origin: np.ndarray    # source position at t = 0
+    quiet_floods: int = 0        # next floods known to find nothing
     node_rngs: List[np.random.Generator] = field(repr=False, default_factory=list)
 
 
@@ -308,6 +309,13 @@ def _nearest_d2(query, target, reach, box_length):
     return nearest
 
 
+# Most floods a horizon may skip after one flood that found nothing.  A
+# longer horizon widens the query's reach and so its dense candidate
+# block: on n=160 and n=720 runs, 4 was the fastest or within noise of it,
+# while 2 was about 20% slower at n=160 and 16 about 15% slower at n=720.
+_HORIZON_STEPS = 4
+
+
 def flood(world):
     """Infect every node in a connected component (unit-disk graph on the
     current positions) that touches an infected node; instantaneous
@@ -317,25 +325,52 @@ def flood(world):
     The closure is a breadth-first search with the infected nodes as level
     0: every level queries the still-unreached susceptibles against the
     nodes reached last with the linked-cell query `_nearest_d2`, so a
-    call is O(n) array work when nodes are sparse."""
+    call is O(n) array work when nodes are sparse.  A node is reached when
+    its d2 <= r**2; the query's reach R is wider than r, which leaves that
+    decision as it is, since a row whose nearest target lies within R gets
+    the dense float.
+
+    When level 0 reaches no one, the same query sets world.quiet_floods
+    to how many of the next floods provably find nothing too (every flood
+    resets it to 0).  R = r + h*(K+1), where h bounds how much one step
+    can close the gap between two nodes and K = _HORIZON_STEPS.
+    gap = min(sqrt(d2), R) - r - 1e-9*L, with d2 the least result, is a
+    lower bound on how far every infected-unreached pair is from contact
+    (pairs the grid does not return are farther apart than R, and 1e-9*L
+    is slack for rounding in the positions).  A node moves at speed v
+    along a continuous path: a turn splits the path without lengthening
+    it, and a wall fold is 1-Lipschitz on each axis, so a node moves at
+    most v*dt per step, and a pair closes by at most h = 2*v*dt (plus the
+    clock's rounding in dt).  The infected set changes only in a flood, so
+    while no flood runs every pair stays out of range for k steps with
+    k*h < gap.  Then the next min(K, k) floods find nothing, and skipping
+    them leaves the records and the trajectories as they are."""
+    world.quiet_floods = 0
     records = []
     if world.infected.all():
         return records
     config = world.config
+    r, length = config.radio_range, config.box_length
+    hop = 2.0 * config.v * (config.dt + math.ulp(2.0 * config.t_max))
+    reach = r + hop * (_HORIZON_STEPS + 1)
     pos = world.positions
     unreached = (~world.infected).nonzero()[0]
     level = pos[world.infected]
     reached = []
     while True:
-        hit = _nearest_d2(
-            pos[unreached], level, config.radio_range, config.box_length
-        ) <= config.radio_range**2
+        d2 = _nearest_d2(pos[unreached], level, reach, length)
+        hit = d2 <= r**2
         frontier = unreached[hit]
         if not frontier.size:
             break
         reached.extend(frontier.tolist())
         unreached = unreached[~hit]
         level = pos[frontier]
+    if not reached:
+        gap = min(math.sqrt(d2.min()), reach) - r - 1e-9 * length
+        if gap >= 0.0:
+            world.quiet_floods = min(_HORIZON_STEPS, int(gap / (hop * (1.0 + 1e-9))))
+        return records
 
     now = world.time
     origin = world.source_origin
@@ -346,48 +381,11 @@ def flood(world):
     return records
 
 
-# Most floods a horizon may skip after one gap query.  A longer horizon
-# widens the query's reach and so its dense candidate block: on n=160 and
-# n=720 runs, 4 was the fastest or within noise of it, while 2 was about
-# 20% slower at n=160 and 16 about 15% slower at n=720.
-_HORIZON_STEPS = 4
-
-
-def _quiet_steps(world):
-    """How many floods, this step's first, provably find nothing: 0 when an
-    infected and an unreached node may be in contact now.
-
-    Query the unreached nodes against the infected ones with reach
-    R = r + h*(K+1), where h bounds how much one step can close the gap
-    between two nodes and K = _HORIZON_STEPS.  gap = min(sqrt(d2), R) - r
-    - 1e-9*L, with d2 the least result, is a lower bound on how far every
-    such pair is from contact (pairs the grid does not return are farther
-    apart than R, and 1e-9*L is slack for rounding in the positions).  A
-    node moves at speed v along a continuous path: a turn splits the path
-    without lengthening it, and a wall fold is 1-Lipschitz on each axis,
-    so a node moves at most v*dt per step, and a pair closes by at most
-    h = 2*v*dt (plus the clock's rounding in dt).  The infected set
-    changes only in a flood, so while no flood runs every pair stays out
-    of range for k steps with k*h < gap.  Then this step's flood and the
-    next min(K, k) find nothing, and skipping them leaves the records and
-    the trajectories as they are."""
-    config = world.config
-    r, length = config.radio_range, config.box_length
-    hop = 2.0 * config.v * (config.dt + math.ulp(2.0 * config.t_max))
-    reach = r + hop * (_HORIZON_STEPS + 1)
-    pos = world.positions
-    d2 = _nearest_d2(pos[~world.infected], pos[world.infected], reach, length).min()
-    gap = min(math.sqrt(d2), reach) - r - 1e-9 * length
-    if gap < 0.0:
-        return 0
-    return 1 + min(_HORIZON_STEPS, int(gap / (hop * (1.0 + 1e-9))))
-
-
 def run_epidemic(config):
     """Full run: init, flood at t = 0, then advance every step until t_max
-    or total infection, flooding after each step unless `_quiet_steps`
-    shows that the flood finds nothing.  Skipped floods are exactly the
-    empty ones, so the records equal those of a flood on every step.
+    or total infection, flooding after each step unless an earlier flood
+    set `world.quiet_floods`.  Skipped floods are exactly the empty ones,
+    so the records equal those of a flood on every step.
 
     Records are in (infection_time, node_id) order, the source first: each
     flood returns its wave in node order at one time, and the waves are
@@ -395,13 +393,10 @@ def run_epidemic(config):
     world = init_world(config)
     records = [InfectionRecord(node_id=0, infection_time=0.0, distance=0.0)]
     records.extend(flood(world))
-    quiet = 0  # floods still known to find nothing, this step's first
     while _within_t_max(world.time + config.dt, config) and not world.infected.all():
         advance(world)
-        if not quiet:
-            quiet = _quiet_steps(world)
-        if quiet:
-            quiet -= 1
+        if world.quiet_floods:
+            world.quiet_floods -= 1
         else:
             records.extend(flood(world))
     return records

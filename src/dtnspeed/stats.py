@@ -69,8 +69,8 @@ class DominationReport:
 def build_curve(records, bin_width):
     """Group records by distance bin; per-bin mean time, standard error of
     the mean, and count.  Empty input gives an empty curve."""
-    if bin_width <= 0.0:
-        raise StatsError(f"bin_width must be > 0, got {bin_width}")
+    if not 0.0 < bin_width < math.inf:
+        raise StatsError(f"bin_width must be finite and > 0, got {bin_width}")
     groups = {}
     for rec in records:
         groups.setdefault(int(rec.distance // bin_width), []).append(

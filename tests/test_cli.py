@@ -54,6 +54,12 @@ class TestBound:
          "--tau", "nan"],
         ["compare", "--dim", "2", "--L", "10", "--nu", "inf", "--v", "1",
          "--tau", "0"],
+        *(
+            ["compare", "--dim", "2", "--L", "20", "--n", "40", "--v", "1",
+             "--tau", "0", "--tmax", "300", "--seed", "3", "--runs", "2",
+             "--dmin", "1", "--bin-width", width]
+            for width in ("nan", "inf")
+        ),
     ],
 )
 def test_non_finite_input_is_one_error_line(argv, tmp_path, capsys):
@@ -139,6 +145,28 @@ class TestSweep:
         assert capsys.readouterr().out == f"wrote 4 rows to {out}\n"
         assert run_cli(*args) == 0
         assert capsys.readouterr().out == out.read_text()
+
+    SWEEP = ("sweep", "--dim", "2", "--v", "1", "--tau", "0")
+
+    @staticmethod
+    def assert_nu_grid_usage_error(code, capsys):
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("usage error: nu-grid must ")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("grid", ["abc", "0.1,x", "", ","])
+    def test_bad_nu_grid_flag(self, grid, capsys):
+        # not a number, or no density at all
+        self.assert_nu_grid_usage_error(run_cli(*self.SWEEP, "--nu-grid", grid), capsys)
+
+    @pytest.mark.parametrize("grid", [5, [0.1, "x"], [], [0.1, True], "0.1,abc"])
+    def test_bad_nu_grid_in_config(self, grid, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"nu_grid": grid}))
+        code = run_cli(*self.SWEEP, "--config", str(path))
+        self.assert_nu_grid_usage_error(code, capsys)
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_other_dimensions_smoke(self, dim, tmp_path):
@@ -252,6 +280,24 @@ class TestConfigFile:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"bogus": 1}))
         assert run_cli("bound", "--config", str(path)) == 1
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [(None, "cannot read config file"), ("{", "is not valid JSON"),
+         ("[1, 2]", "must hold a JSON object, got list")],
+    )
+    def test_unusable_file(self, text, message, tmp_path, capsys):
+        # missing, not JSON, or not an object: one usage line, no traceback
+        path = tmp_path / "cfg.json"
+        if text is not None:
+            path.write_text(text)
+        code = run_cli("bound", "--config", str(path))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("usage error: ")
+        assert len(captured.err.splitlines()) == 1
+        assert message in captured.err
+        assert captured.out == ""
 
     SIM = {"dim": 2, "L": 10.0, "n": 5, "v": 1.0, "tau": 0.0, "tmax": 5.0}
 

@@ -619,6 +619,46 @@ class TestRunEpidemic:
         assert records == every_step_run(cfg)
         assert len(records) > 1
 
+    @pytest.mark.parametrize(
+        "d,box_length,n,tau", [(1, 40.0, 20, 0.1), (2, 20.0, 40, 0.1), (3, 8.0, 30, 0.5)]
+    )
+    def test_flood_is_the_only_neighbour_query(self, d, box_length, n, tau, monkeypatch):
+        # every _nearest_d2 call happens inside a flood call, and the
+        # floods that provably find nothing are still skipped
+        calls = {"flood": 0, "advance": 0, "inside": 0, "outside": 0}
+        in_flood = [False]
+        nearest_d2, real_flood, real_advance = (
+            sim_module._nearest_d2, sim_module.flood, sim_module.advance
+        )
+
+        def counted_nearest_d2(*args):
+            calls["inside" if in_flood[0] else "outside"] += 1
+            return nearest_d2(*args)
+
+        def counted_flood(world):
+            calls["flood"] += 1
+            in_flood[0] = True
+            try:
+                return real_flood(world)
+            finally:
+                in_flood[0] = False
+
+        def counted_advance(world):
+            calls["advance"] += 1
+            return real_advance(world)
+
+        monkeypatch.setattr(sim_module, "_nearest_d2", counted_nearest_d2)
+        monkeypatch.setattr(sim_module, "flood", counted_flood)
+        monkeypatch.setattr(sim_module, "advance", counted_advance)
+        cfg = SimConfig(
+            d=d, box_length=box_length, n=n, v=1.0, tau=tau, dt=0.05,
+            t_max=100.0, seed=4,
+        )
+        assert len(run_epidemic(cfg)) > 1
+        assert calls["outside"] == 0
+        assert calls["inside"] >= calls["flood"] > 0
+        assert calls["flood"] < calls["advance"]
+
     # Two nodes that close at 2*v from r + 2*v*dt*j +- 1e-12 (r = 1, v*dt
     # = 0.05), so that contact falls on the last step a horizon may skip or
     # on the first step it must not skip.

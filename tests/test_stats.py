@@ -51,6 +51,12 @@ class TestBuildCurve:
         with pytest.raises(StatsError):
             build_curve([rec(1.0, 1.0)], 0.0)
 
+    @pytest.mark.parametrize("width", [math.nan, math.inf])
+    def test_non_finite_width(self, width):
+        # NaN used to fail in int(), inf to make one bin centred at inf
+        with pytest.raises(StatsError, match="bin_width must be finite"):
+            build_curve([rec(1.0, 1.0)], width)
+
     def test_counts_preserved(self):
         records = synthetic_line(2.0, 0.0, 500, 0.1)
         curve = build_curve(records, 2.5)
