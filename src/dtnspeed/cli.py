@@ -355,8 +355,16 @@ def _cmd_compare(args):
         args.dmin = 5.0 * kwargs["radio_range"]
     if args.dmax is None:
         args.dmax = 0.5 * args.L
+    # refuse a bad fit window, bin width or bound before any simulation
+    if not args.dmin < args.dmax:
+        raise StatsError(
+            f"fit window needs dmin < dmax, got dmin={args.dmin} >= dmax={args.dmax}"
+        )
+    if not 0.0 < args.bin_width < math.inf:
+        raise StatsError(f"bin_width must be finite and > 0, got {args.bin_width}")
     nu = args.n / _box_volume(args)
     params = ModelParams(d=args.dim, nu=nu, v=args.v, tau=args.tau)
+    bound = speed_bound(params)
     print(f"n={args.n} L={args.L} dim={args.dim} -> nu={nu:.12g}")
 
     results = _run_many(kwargs, args.seed, args.runs)
@@ -366,7 +374,6 @@ def _cmd_compare(args):
     records = [rec for _, recs in results for rec in front_records(recs)]
     curve = build_curve(records, args.bin_width)
     fit = fit_slope(records, args.dmin, args.dmax)
-    bound = speed_bound(params)
     if args.theoretical_scale != 1.0:
         # test hook: check against a scaled theoretical slowness
         bound = dataclasses.replace(

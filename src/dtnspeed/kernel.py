@@ -18,7 +18,11 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .specfun import (
+    _SERIES_CAP,
+    _SMALL_RHO,
     MAX_ARG,
     DomainError,
     UNIT_BALL_VOLUME,
@@ -182,13 +186,113 @@ def _golden_min(f, lo, hi, rel_tol):
     return 0.5 * (lo + hi)
 
 
+def _map(fn, x):
+    """fn applied to each element.  The scan takes math's cosh, sinh and
+    tanh, not numpy's: on AVX-512 CPUs numpy's differ from them by an ulp
+    or two in about a quarter of the arguments, and the cancellation in
+    Psi_3 magnifies that."""
+    return np.fromiter(map(fn, x.tolist()), float, x.size)
+
+
+def _bessel_grid(x, order):
+    """specfun._bessel_series over an array: each element takes the same
+    terms, stops on the same rule and cap, and leaves the loop there."""
+    q = 0.25 * x * x
+    term = 0.5 * x if order else np.ones_like(x)
+    total = term
+    cap = _SERIES_CAP + x.astype(int)
+    out = np.empty_like(x)
+    left = np.arange(x.size)
+    k = 1
+    while left.size:
+        term = term * (q / (k * (k + order)))
+        total = total + term
+        done = (term < 1e-16 * total) | (total == 0.0) | (cap == k)
+        if done.any():
+            out[left[done]] = total[done]
+            keep = ~done
+            left, q, term, total, cap = (
+                left[keep], q[keep], term[keep], total[keep], cap[keep]
+            )
+        k += 1
+    return out
+
+
+def _psi_xi_grid(d, rho):
+    """specfun.psi and specfun.xi over an array of 0 < rho <= MAX_ARG,
+    with the same branches and operation order."""
+    r2 = rho * rho
+    small = rho < _SMALL_RHO
+    if d == 2:
+        psi_ = np.where(
+            small,
+            2.0 * math.pi * (0.5 + r2 / 16.0 + r2 * r2 / 384.0),
+            2.0 * math.pi * _bessel_grid(rho, 1) / rho,
+        )
+        return psi_, 2.0 * math.pi * _bessel_grid(rho, 0)
+    sinh, cosh = _map(math.sinh, rho), _map(math.cosh, rho)
+    if d == 1:
+        psi_ = np.where(
+            small, 2.0 * (1.0 + r2 / 6.0 + r2 * r2 / 120.0), 2.0 * sinh / rho
+        )
+        xi_ = np.where(small, 2.0 * (1.0 + r2 / 2.0 + r2 * r2 / 24.0), 2.0 * cosh)
+        return psi_, xi_
+    psi_ = np.where(
+        small,
+        4.0 * math.pi * (1.0 / 3.0 + r2 / 30.0 + r2 * r2 / 840.0),
+        4.0 * math.pi * (rho * cosh - sinh) / (r2 * rho),
+    )
+    xi_ = np.where(
+        small,
+        4.0 * math.pi * (1.0 + r2 / 6.0 + r2 * r2 / 120.0),
+        4.0 * math.pi * sinh / rho,
+    )
+    return psi_, xi_
+
+
+def _ratio_grid(params, rho):
+    """theta_of_rho(params, r) / r for each r of the array rho, 0 < r <=
+    MAX_ARG, and +inf where theta_of_rho raises (at or past the pole).
+
+    Bit-identical to the scalar path: it takes the same branches and the
+    same IEEE operations in the same order, and math's transcendentals."""
+    # the branch np.where drops, and the points past the pole, may
+    # divide by zero or overflow; the scalar path never evaluates them
+    with np.errstate(all="ignore"):
+        psi_, xi_ = _psi_xi_grid(params.d, rho)
+        denom = 1.0 - params.nu * psi_
+        a_rho = params.tau + 2.0 * params.v * params.nu * xi_ / denom
+        a = rho * params.v
+        if params.d == 1:
+            x = 0.5 * (a_rho + np.sqrt(a_rho * a_rho + 4.0 * a * a))
+        elif params.d == 2:
+            x = np.sqrt(a_rho * a_rho + a * a)
+        else:
+            z = a / a_rho
+            x = np.where(
+                z < 1e-12, a_rho * (1.0 + z * z / 3.0), a / _map(math.tanh, z)
+            )
+        theta = np.where(a_rho == 0.0, a, x - params.tau)
+        return np.where(denom <= 0.0, math.inf, theta / rho)
+
+
+def _scan_grid(rho_star):
+    """The 2000-point log grid over (1e-6*rho_star, _POLE_CLIP*rho_star)."""
+    lo = 1e-6 * rho_star
+    hi = _POLE_CLIP * rho_star
+    step = (hi / lo) ** (1.0 / (_SCAN_POINTS - 1))
+    return [lo * step**i for i in range(_SCAN_POINTS)]
+
+
 def _minimize_ratio(params, rho_star):
     """Argmin of theta/rho on (0, rho_star): a coarse log-grid scan, then
     golden-section refinement of the best bracket.
 
     The scan guards against the (unproven) possibility of multiple local
-    minima.  Its left edge 1e-6*rho_star can lie above the argmin (tau > 0
-    and small nu), so a best point on that edge is refined on (0, grid[1]).
+    minima.  It is one array pass (`_ratio_grid`), bit-identical to
+    evaluating theta_of_rho point by point; the refinement is scalar.
+    The left edge 1e-6*rho_star can lie above the argmin (tau > 0 and
+    small nu), so a best point on that edge is refined on (0, grid[1]).
     """
 
     def ratio(r):
@@ -198,12 +302,11 @@ def _minimize_ratio(params, rho_star):
         except DomainError:
             return math.inf
 
-    lo = 1e-6 * rho_star
-    hi = _POLE_CLIP * rho_star
-    step = (hi / lo) ** (1.0 / (_SCAN_POINTS - 1))
-    grid = [lo * step**i for i in range(_SCAN_POINTS)]
-    values = [ratio(r) for r in grid]
-    i = min(range(_SCAN_POINTS), key=values.__getitem__)
+    grid = _scan_grid(rho_star)
+    values = _ratio_grid(params, np.array(grid))
+    # theta is NaN where rho*v and A(rho) both overflow (D=3, huge v);
+    # like min() over the scalar values, the scan never picks such a point
+    i = int(np.argmin(np.where(np.isnan(values), math.inf, values)))
     left = grid[i - 1] if i else 0.0
     right = grid[min(i + 1, _SCAN_POINTS - 1)]
     return _golden_min(ratio, left, right, 1e-10)

@@ -355,16 +355,16 @@ def flood(world):
     reach = r + hop * (_HORIZON_STEPS + 1)
     pos = world.positions
     unreached = (~world.infected).nonzero()[0]
-    level = pos[world.infected]
+    level = pos.compress(world.infected, axis=0)
     reached = []
     while True:
         d2 = _nearest_d2(pos[unreached], level, reach, length)
         hit = d2 <= r**2
-        frontier = unreached[hit]
+        frontier = unreached.compress(hit)
         if not frontier.size:
             break
         reached.extend(frontier.tolist())
-        unreached = unreached[~hit]
+        unreached = unreached.compress(~hit)
         level = pos[frontier]
     if not reached:
         gap = min(math.sqrt(d2.min()), reach) - r - 1e-9 * length

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from dtnspeed import cli
 from dtnspeed.cli import main
 
 
@@ -263,6 +264,31 @@ class TestCompare:
         assert run_cli(*self.ARGS, "--out", str(a)) == 0
         assert run_cli(*self.ARGS, "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (("--dmin", "8", "--dmax", "2"), "dmin=8.0 >= dmax=2.0"),
+            (("--dmin", "3", "--dmax", "3"), "dmin=3.0 >= dmax=3.0"),
+            (("--bin-width", "nan"), "bin_width must be finite and > 0"),
+            (("--bin-width", "0"), "bin_width must be finite and > 0"),
+            (("--tau", "0.1", "--L", "1e10", "--n", "2"), "too small for tau"),
+        ],
+    )
+    def test_bad_input_fails_before_any_run(self, flags, message, monkeypatch, capsys):
+        # a bad window, bin width or bound is one error line, exit 2, and
+        # no simulation runs first
+        def refuse(*args):
+            raise AssertionError("compare simulated before checking its inputs")
+
+        monkeypatch.setattr(cli, "_run_many", refuse)
+        code = run_cli(*self.ARGS, *flags)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
 
 
 class TestConfigFile:

@@ -5,6 +5,8 @@ import pytest
 from scipy import optimize, special
 
 from dtnspeed.kernel import (
+    _POLE_CLIP,
+    _SCAN_POINTS,
     BoundStatus,
     KernelPoint,
     ModelParams,
@@ -14,6 +16,8 @@ from dtnspeed.kernel import (
     pole_rho,
     speed_bound,
     theta_of_rho,
+    _ratio_grid,
+    _scan_grid,
 )
 from dtnspeed.specfun import UNIT_BALL_VOLUME, DomainError, psi, y
 
@@ -343,6 +347,79 @@ class TestSpeedBound:
             b1 = speed_bound(ModelParams(d=d, nu=nu, v=v, tau=tau))
             b2 = speed_bound(ModelParams(d=d, nu=nu, v=2.0 * v, tau=2.0 * tau))
             assert b2.speed == pytest.approx(2.0 * b1.speed, rel=1e-9)
+
+
+def scan_cases(d, nu_min):
+    """(params, pole) for five taus x three speeds x 25 log-spaced
+    densities from nu_min to 0.999/V_D, skipping the densities whose
+    pole_rho raises."""
+    for tau in (0.0, 0.01, 0.1, 1.0, 10.0):
+        for v in (0.5, 1.0, 3.0):
+            for nu in np.geomspace(nu_min, 0.999 / UNIT_BALL_VOLUME[d], 25):
+                p = ModelParams(d=d, nu=float(nu), v=v, tau=tau)
+                try:
+                    pole = pole_rho(p)
+                except DomainError:
+                    continue
+                yield p, pole
+
+
+def scalar_ratio(p, rho):
+    try:
+        return theta_of_rho(p, rho) / rho
+    except DomainError:
+        return math.inf
+
+
+def local_minima(values):
+    """Local minima of a sequence, its two ends included, after steps
+    under 1e-12 relative are merged into the value before them."""
+    kept = [values[0]]
+    for x in values[1:]:
+        if abs(x - kept[-1]) > 1e-12 * abs(kept[-1]):
+            kept.append(x)
+    s = np.sign(np.diff(kept))
+    inner = np.count_nonzero((s[:-1] < 0) & (s[1:] > 0))
+    return int(s[0] > 0) + int(inner) + int(s[-1] < 0)
+
+
+class TestRatioScan:
+    """The speed-bound scan: `_ratio_grid` evaluates theta/rho over the
+    whole grid in one array pass."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_array_pass_is_bit_identical(self, d):
+        cases = 0
+        for p, pole in scan_cases(d, 1e-300):
+            grid = _scan_grid(pole)
+            values = [scalar_ratio(p, r) for r in grid]
+            array = _ratio_grid(p, np.array(grid))
+            assert np.array_equal(array, values), p
+            first_min = min(range(_SCAN_POINTS), key=values.__getitem__)
+            assert int(np.argmin(array)) == first_min, p
+            cases += 1
+        assert cases >= 360
+
+    def test_overflowing_points_are_never_the_argmin(self):
+        # rho*v and A(rho) overflow on the right of the grid, where theta
+        # is NaN; the bound is the one at the finite points
+        p = ModelParams(d=3, nu=1e-100, v=1e306, tau=0.0)
+        assert np.isnan(_ratio_grid(p, np.array(_scan_grid(pole_rho(p))))).any()
+        assert speed_bound(p).speed == p.v
+
+    def test_one_local_minimum(self):
+        # the premise of a bracketed minimiser in place of the scan:
+        # theta/rho has one local minimum on (0, pole).  Steps under
+        # 1e-12 relative are merged first: compared strictly, 17 of these
+        # 1125 cases show more than one, all on rounding plateaus.
+        cases = 0
+        for d in (1, 2, 3):
+            for p, pole in scan_cases(d, 1e-6 / UNIT_BALL_VOLUME[d]):
+                rho = np.geomspace(1e-9 * pole, _POLE_CLIP * pole, 3000)
+                values = _ratio_grid(p, rho)
+                assert local_minima(values[np.isfinite(values)].tolist()) == 1, p
+                cases += 1
+        assert cases == 1125
 
 
 class TestSlownessSweep:
