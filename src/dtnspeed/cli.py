@@ -174,9 +174,10 @@ def _run_one(config_kwargs, seed):
 def _run_many(config_kwargs, first_seed, runs):
     """Independent runs with seeds first_seed, first_seed+1, ...; results
     ordered by seed regardless of worker count (`pool.map` keeps input
-    order)."""
+    order).  No more workers than runs: the pool starts all of its
+    processes on the first submit."""
     seeds = [first_seed + k for k in range(runs)]
-    workers = _worker_count()
+    workers = min(_worker_count(), runs)
     if workers == 1:
         return [_run_one(config_kwargs, s) for s in seeds]
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -342,6 +342,10 @@ def speed_bound(params):
             f"theta = {theta0:.3g} is lost to rounding against tau"
         )
     speed = theta0 / rho0
+    if not speed < math.inf:
+        raise DomainError(
+            f"v = {params.v} is too large: theta/rho overflows double precision"
+        )
     return SpeedBound(
         status=BoundStatus.FINITE,
         slowness=1.0 / speed,

@@ -9,23 +9,26 @@ Each node owns an independent RNG stream, so trajectories are invariant
 under time-step refinement: only contact detection depends on dt.
 
 One step is O(n) numpy work and O(n) memory when nodes are sparse.
-`advance` runs every step: it moves all nodes as arrays and loops in
-Python only over the direction changes.  `flood` is the only neighbour
+`advance` runs every step: it moves all nodes as arrays and walks only
+the direction changes, on Python floats.  `flood` is the only neighbour
 query, on a linked-cell grid of at most 16 cells per node (`_nearest_d2`)
 instead of an n x n distance matrix.  Below the percolation threshold
-most steps bring no contact, so a flood that finds nothing also bounds,
-from the distance between the infected and the unreached nodes and the
-speed bound v, how many of the next floods must find nothing, and
-`run_epidemic` skips them.  Every range decision is the same float
-comparison as the dense one and a skipped flood is an empty one, so
-records do not depend on the grid or the horizon.
+most steps bring no contact.  A flood that finds nothing keeps the pairs
+its query found near as a watch list, and until the nodes can have moved
+far enough for another pair to close in, later floods check only those
+pairs.  It also bounds, from the distance between the infected and the
+unreached nodes and the speed bound v, how many of the next floods must
+find nothing, and `run_epidemic` skips them.  Every range decision is the
+same float comparison as the dense one, and a watched or skipped flood is
+an empty one, so records do not depend on the grid, the watch or the
+horizon.
 
 The module does no I/O: `cli.write_records` writes the records as CSV.
 """
 
 import math
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -119,20 +122,26 @@ class World:
     turn_count: np.ndarray       # (n,) int, diagnostics
     source_origin: np.ndarray    # source position at t = 0
     quiet_floods: int = 0        # next floods known to find nothing
+    steps: int = 0               # advance calls so far
+    # (unreached ids, infected ids, steps) of the pairs an empty flood
+    # found near; it holds while only advance moves nodes and only flood
+    # infects them, so code that edits either by hand sets it to None
+    watch: Optional[tuple] = None
     node_rngs: List[np.random.Generator] = field(repr=False, default_factory=list)
 
 
 def _isotropic_direction(rng, d):
+    """A uniform unit vector, as a list of d Python floats."""
     if d == 1:
-        return np.array([1.0 if rng.random() < 0.5 else -1.0])
+        return [1.0 if rng.random() < 0.5 else -1.0]
     if d == 2:
         angle = rng.uniform(0.0, 2.0 * math.pi)
-        return np.array([math.cos(angle), math.sin(angle)])
+        return [math.cos(angle), math.sin(angle)]
     while True:
         vec = rng.normal(size=3)
         norm = np.linalg.norm(vec)
         if norm > 1e-12:
-            return vec / norm
+            return (vec / norm).tolist()
 
 
 def _turn_increment(rng, tau):
@@ -197,42 +206,72 @@ def _within_t_max(time, config):
     return time <= config.t_max + 1e-9 * max(1.0, config.t_max)
 
 
+def _move_row(pos, dirn, step, length):
+    """pos += dirn*step and then fold_positions, on one node's row of
+    Python floats, in place: the same floats in the same operation order
+    (Python's float % is numpy's float mod)."""
+    period = 2.0 * length
+    for a, p in enumerate(pos):
+        p += dirn[a] * step
+        if p <= 0.0 or p > length:
+            p %= period
+            if p > length:
+                p = period - p
+                dirn[a] = -dirn[a]
+        pos[a] = p
+
+
+def _walk_turns(world, turning, end):
+    """Walk each turning node from world.time to `end` on Python floats:
+    move to the turn, fold, redraw the direction and the next turn time
+    from its own RNG stream, and at the last leg move to `end`.  Updates
+    the turn schedule and counts; returns the rows of positions and
+    directions at `end`."""
+    config = world.config
+    v, length = config.v, config.box_length
+    positions = world.positions[turning].tolist()
+    directions = world.directions[turning].tolist()
+    next_turn = world.next_turn_time[turning].tolist()
+    turns = [0] * len(next_turn)
+    for k, i in enumerate(turning.tolist()):
+        rng = world.node_rngs[i]
+        pos, dirn, turn, t = positions[k], directions[k], next_turn[k], world.time
+        while turn < end:
+            _move_row(pos, dirn, v * (turn - t), length)
+            directions[k] = dirn = _isotropic_direction(rng, config.d)
+            t, turn = turn, turn + _turn_increment(rng, config.tau)
+            turns[k] += 1
+        _move_row(pos, dirn, v * (end - t), length)
+        next_turn[k] = turn
+    world.next_turn_time[turning] = next_turn
+    world.turn_count[turning] += turns
+    return positions, directions
+
+
 def advance(world):
     """Advance every node by one dt: straight motion with wall reflection,
     with Poisson direction changes applied at their exact scheduled times
     (any number per step).  Mutates and returns the world.
 
-    A node whose next turn falls inside the step walks its turns one at a
-    time: move to the turn, fold, redraw the direction and the next turn
-    time from its own RNG stream.  One array move and one fold then carry
-    all n nodes to the step end; nodes that did not turn move by exactly
-    v*dt.  The step is O(n) array work plus a Python loop over the turns."""
+    One array move and one fold carry all n nodes by exactly v*dt (end -
+    time can differ from dt in the last bit).  A node whose next turn
+    falls inside the step instead walks its turns one at a time on Python
+    floats (`_walk_turns`), and its row is written over the array's.  The
+    step is O(n) array work plus a Python loop over the turns."""
     config = world.config
-    v, length = config.v, config.box_length
     end = world.time + config.dt
     if not _within_t_max(end, config):
         raise ConfigError("advance would step past t_max")
 
-    # a node that does not turn moves by exactly v*dt: end - time can
-    # differ from dt in the last bit
-    step = np.full(config.n, v * config.dt)
-    for i in (world.next_turn_time < end).nonzero()[0]:
-        rng = world.node_rngs[i]
-        pos, dirn = world.positions[i : i + 1], world.directions[i : i + 1]
-        t = world.time
-        while world.next_turn_time[i] < end:
-            turn = world.next_turn_time[i]
-            pos += dirn * (v * (turn - t))
-            fold_positions(pos, dirn, length)
-            dirn[0] = _isotropic_direction(rng, config.d)
-            world.next_turn_time[i] = turn + _turn_increment(rng, config.tau)
-            world.turn_count[i] += 1
-            t = turn
-        step[i] = v * (end - t)
-    world.positions += world.directions * step[:, None]
-    fold_positions(world.positions, world.directions, length)
+    turning = (world.next_turn_time < end).nonzero()[0]
+    walked = _walk_turns(world, turning, end) if turning.size else None
+    world.positions += world.directions * (config.v * config.dt)
+    fold_positions(world.positions, world.directions, config.box_length)
+    if walked is not None:
+        world.positions[turning], world.directions[turning] = walked
 
     world.time = end
+    world.steps += 1
     return world
 
 
@@ -267,22 +306,36 @@ def _dilated(ids, size, strides):
     return near
 
 
+def _pair_d2(near, far):
+    """((a-b)**2).sum() of every (near row, far row) pair, from the
+    transposed (d, m) arrays: one axis at a time, summed in axis order,
+    the floats of the dense matrix without its slow reduction over d <= 3."""
+    delta = near[0][:, None] - far[0]
+    d2 = delta * delta
+    for k in range(1, len(near)):
+        delta = near[k][:, None] - far[k]
+        d2 += delta * delta
+    return d2
+
+
 def _nearest_d2(query, target, reach, box_length):
     """Least ((a-b)**2).sum() from each query row to the target rows near
     it, +inf where no target is near; the same floats as a dense distance
-    matrix would hold.
+    matrix would hold.  Also returns the block it compared, as the
+    candidate query rows and the nearby target rows.
 
     Broad phase on a linked-cell grid of cells at least `reach` wide:
     queries in a cell next to a target's cell become candidates, and only
     they are compared, against the targets next to a candidate's cell.
-    Pairs within reach always sit in adjacent cells, so a row whose
-    nearest target lies within reach gets that target's d2; any other row
-    gets +inf or the true d2 of a target beyond reach.  Either way
-    min(sqrt(d2), reach) never exceeds the distance to the nearest
-    target."""
+    Pairs within reach always sit in adjacent cells, so every pair outside
+    the block is farther apart than reach, a row whose nearest target lies
+    within reach gets that target's d2, and any other row gets +inf or the
+    true d2 of a target beyond reach.  Either way min(sqrt(d2), reach)
+    never exceeds the distance to the nearest target."""
     nearest = np.full(len(query), math.inf)
+    candidates = nearby = np.empty(0, dtype=np.intp)
     if not len(query) or not len(target):
-        return nearest
+        return nearest, candidates, nearby
     d = query.shape[1]
     cells = int(box_length / (reach * (1.0 + _CELL_MARGIN)))
     cap = int((_CELLS_PER_POINT * (len(query) + len(target))) ** (1.0 / d))
@@ -296,24 +349,17 @@ def _nearest_d2(query, target, reach, box_length):
     target_ids = _cell_ids(target, scale, cells, strides)
     candidates = _dilated(target_ids, size, strides)[query_ids].nonzero()[0]
     if candidates.size:
-        near = query[candidates].T
-        nearby = target[_dilated(query_ids[candidates], size, strides)[target_ids]].T
-        # one axis at a time, summed in axis order: the floats of
-        # ((a-b)**2).sum(axis=-1) without its slow reduction over d <= 3
-        delta = near[0][:, None] - nearby[0]
-        d2 = delta * delta
-        for k in range(1, d):
-            delta = near[k][:, None] - nearby[k]
-            d2 += delta * delta
-        nearest[candidates] = d2.min(axis=1)
-    return nearest
+        nearby = _dilated(query_ids[candidates], size, strides)[target_ids].nonzero()[0]
+        nearest[candidates] = _pair_d2(query[candidates].T, target[nearby].T).min(axis=1)
+    return nearest, candidates, nearby
 
 
-# Most floods a horizon may skip after one flood that found nothing.  A
-# longer horizon widens the query's reach and so its dense candidate
-# block: on n=160 and n=720 runs, 4 was the fastest or within noise of it,
-# while 2 was about 20% slower at n=160 and 16 about 15% slower at n=720.
-_HORIZON_STEPS = 4
+# Most floods a horizon may skip after one flood that found nothing, and
+# the steps a watch list lives.  A longer horizon widens the query's reach
+# and so its candidate block and watch list.  Median perfbench pass_s over
+# seeds 0-3 (2-core x86-64): figure 3.01 / 2.72 / 2.65 s and large-n 0.90
+# / 0.89 / 1.02 s at 4 / 8 / 16.
+_HORIZON_STEPS = 8
 
 
 def flood(world):
@@ -330,35 +376,64 @@ def flood(world):
     decision as it is, since a row whose nearest target lies within R gets
     the dense float.
 
-    When level 0 reaches no one, the same query sets world.quiet_floods
-    to how many of the next floods provably find nothing too (every flood
-    resets it to 0).  R = r + h*(K+1), where h bounds how much one step
-    can close the gap between two nodes and K = _HORIZON_STEPS.
-    gap = min(sqrt(d2), R) - r - 1e-9*L, with d2 the least result, is a
-    lower bound on how far every infected-unreached pair is from contact
-    (pairs the grid does not return are farther apart than R, and 1e-9*L
-    is slack for rounding in the positions).  A node moves at speed v
-    along a continuous path: a turn splits the path without lengthening
-    it, and a wall fold is 1-Lipschitz on each axis, so a node moves at
-    most v*dt per step, and a pair closes by at most h = 2*v*dt (plus the
-    clock's rounding in dt).  The infected set changes only in a flood, so
-    while no flood runs every pair stays out of range for k steps with
-    k*h < gap.  Then the next min(K, k) floods find nothing, and skipping
-    them leaves the records and the trajectories as they are."""
+    A node moves at speed v along a continuous path: a turn splits the
+    path without lengthening it, and a wall fold is 1-Lipschitz on each
+    axis, so a node moves at most v*dt per step, and a pair closes by at
+    most h = 2*v*dt per step (plus the clock's rounding in dt).  The
+    infected set changes only in a flood that reaches someone, so two
+    bounds hold while no flood does:
+
+    - Watch list (after Verlet's neighbour list with a skin).  When level
+      0 reaches no one, its query's block is kept in world.watch as node
+      ids: every unreached-infected pair outside it was farther apart than
+      R.  `age` steps later such a pair is still farther apart than
+      outer = R - age*h, so while outer - r - 1e-9*L >= 0 (1e-9*L is
+      slack for rounding in the positions) only the block pairs can be in
+      range.  A later flood then computes their d2, the same floats as
+      the query's, and if none is <= r**2 it is exactly an empty flood and
+      returns without a query.  Otherwise the search runs; a hit clears
+      the watch and a miss keeps a new one.
+    - Gap horizon.  An empty flood also sets world.quiet_floods to how
+      many of the next floods provably find nothing too (every flood
+      resets it to 0).  gap = min(sqrt(least block d2), outer) - r -
+      1e-9*L bounds how far every unreached-infected pair is from
+      contact, with outer = R on a flood that ran the search.  Every pair
+      stays out of range for k steps with k*h < gap, so the next min(K, k)
+      floods find nothing, and `run_epidemic` skips them.
+      R = r + h*(K+1), with K = _HORIZON_STEPS.
+
+    Skipped and watched floods are exactly the empty ones, so the records
+    and the trajectories stay as they are."""
     world.quiet_floods = 0
     records = []
     if world.infected.all():
         return records
     config = world.config
     r, length = config.radio_range, config.box_length
+    slack = 1e-9 * length
     hop = 2.0 * config.v * (config.dt + math.ulp(2.0 * config.t_max))
     reach = r + hop * (_HORIZON_STEPS + 1)
     pos = world.positions
+
+    def quiet_floods(least, outer):
+        gap = min(math.sqrt(least), outer) - r - slack
+        return min(_HORIZON_STEPS, int(gap / (hop * (1.0 + 1e-9)))) if gap >= 0.0 else 0
+
+    if world.watch is not None:
+        unreached, infected, taken = world.watch
+        outer = reach - (world.steps - taken) * hop
+        if outer - r - slack >= 0.0:
+            least = _pair_d2(pos[unreached].T, pos[infected].T).min(initial=math.inf)
+            if least > r**2:
+                world.quiet_floods = quiet_floods(least, outer)
+                return records
+    world.watch = None
     unreached = (~world.infected).nonzero()[0]
-    level = pos.compress(world.infected, axis=0)
+    infected = world.infected.nonzero()[0]
+    level = pos[infected]
     reached = []
     while True:
-        d2 = _nearest_d2(pos[unreached], level, reach, length)
+        d2, candidates, nearby = _nearest_d2(pos[unreached], level, reach, length)
         hit = d2 <= r**2
         frontier = unreached.compress(hit)
         if not frontier.size:
@@ -367,9 +442,8 @@ def flood(world):
         unreached = unreached.compress(~hit)
         level = pos[frontier]
     if not reached:
-        gap = min(math.sqrt(d2.min()), reach) - r - 1e-9 * length
-        if gap >= 0.0:
-            world.quiet_floods = min(_HORIZON_STEPS, int(gap / (hop * (1.0 + 1e-9))))
+        world.watch = (unreached[candidates], infected[nearby], world.steps)
+        world.quiet_floods = quiet_floods(d2.min(), reach)
         return records
 
     now = world.time

@@ -367,6 +367,34 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "finite" in proc.stdout
 
+    @pytest.mark.parametrize(
+        "threads,runs,pool_size", [("1000000", 2, 2), ("3", 5, 3), ("1000000", 1, None)]
+    )
+    def test_workers_capped_at_runs(self, threads, runs, pool_size, monkeypatch):
+        # the process pool starts all max_workers processes on its first
+        # submit, so it gets no more workers than runs; one run needs no pool
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setenv("DTN_SPEED_THREADS", threads)
+        kwargs = dict(d=2, box_length=12.0, n=15, v=1.0, tau=0.0, t_max=20.0)
+        results = cli._run_many(kwargs, 7, runs)
+        assert [seed for seed, _ in results] == list(range(7, 7 + runs))
+        assert sizes == ([] if pool_size is None else [pool_size])
+
     def test_worker_env_does_not_change_output(self, tmp_path, monkeypatch):
         args = (
             "simulate", "--dim", "2", "--L", "12", "--n", "15", "--v", "1",

@@ -330,6 +330,29 @@ class TestSpeedBound:
                 expected = small_density_speed(p) if tau > 0.0 else p.v
                 assert b.speed == pytest.approx(expected, rel=1e-4)
 
+    def test_huge_v_is_finite_or_domain_error(self):
+        # 1500 random parameter sets with v up to 1e307: squaring rho*v
+        # overflows for v above about 1e155 in D=1 and D=2, and that speed
+        # is a DomainError naming v, never status FINITE with speed inf
+        rng = np.random.default_rng(8)
+        refused = set()
+        for _ in range(1500):
+            d = int(rng.integers(1, 4))
+            nu = float(rng.uniform(0.001, 0.99)) / UNIT_BALL_VOLUME[d]
+            v = float(10.0 ** rng.uniform(-3.0, 307.0))
+            tau = 0.0 if rng.random() < 0.3 else float(10.0 ** rng.uniform(-3.0, 3.0))
+            try:
+                b = speed_bound(ModelParams(d=d, nu=nu, v=v, tau=tau))
+            except DomainError as err:
+                assert f"v = {v} is too large" in str(err)
+                assert v > 1e150
+                refused.add(d)
+                continue
+            assert b.status == BoundStatus.FINITE
+            assert 0.0 < b.speed < math.inf
+            assert 0.0 < b.slowness < math.inf
+        assert refused == {1, 2}
+
     def test_monotone_in_density(self):
         speeds = []
         for nu in np.linspace(1e-4, 0.3, 12):

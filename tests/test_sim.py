@@ -95,8 +95,8 @@ def every_step_run(config, flood_step=flood):
     return records
 
 
-def place_two_nodes(monkeypatch, positions, directions):
-    """Make `init_world` start every run from two nodes placed by hand."""
+def place_nodes(monkeypatch, positions, directions):
+    """Make `init_world` start every run from nodes placed by hand."""
 
     def place(config):
         world = init_world(config)
@@ -141,6 +141,32 @@ def per_node_advance(world):
             )
             world.turn_count[i] += 1
         _move_node_reference(world, i, end - t_node)
+    world.time = end
+
+
+def numpy_turn_advance(world):
+    """Reference advance: each turning node walks its turns on numpy row
+    views, then one array move of per-node lengths and one fold carry all
+    nodes to the step end."""
+    config = world.config
+    v, length = config.v, config.box_length
+    end = world.time + config.dt
+    step = np.full(config.n, v * config.dt)
+    for i in (world.next_turn_time < end).nonzero()[0]:
+        rng = world.node_rngs[i]
+        pos, dirn = world.positions[i : i + 1], world.directions[i : i + 1]
+        t = world.time
+        while world.next_turn_time[i] < end:
+            turn = world.next_turn_time[i]
+            pos += dirn * (v * (turn - t))
+            fold_positions(pos, dirn, length)
+            dirn[0] = sim_module._isotropic_direction(rng, config.d)
+            world.next_turn_time[i] = turn + sim_module._turn_increment(rng, config.tau)
+            world.turn_count[i] += 1
+            t = turn
+        step[i] = v * (end - t)
+    world.positions += world.directions * step[:, None]
+    fold_positions(world.positions, world.directions, length)
     world.time = end
 
 
@@ -311,6 +337,27 @@ class TestAdvance:
                 assert got.tobytes() == want.tobytes(), name
             assert fast.time == reference.time
         assert most_turns_in_a_step >= 2
+
+    @pytest.mark.parametrize("tau", [0.1, 5.0])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bit_identical_to_numpy_turns(self, d, tau):
+        # the Python-float walk against the numpy row-view walk, from
+        # nodes that start on the walls at 0 and L
+        cfg = SimConfig(
+            d=d, box_length=4.0, n=40, v=1.3, tau=tau, dt=0.075, t_max=30.0, seed=d
+        )
+        fast, reference = init_world(cfg), init_world(cfg)
+        for world in (fast, reference):
+            world.positions[1:21:2, 0] = 0.0
+            world.positions[2:21:2, d - 1] = cfg.box_length
+        for _ in range(300):
+            advance(fast)
+            numpy_turn_advance(reference)
+            for name in ("positions", "directions", "next_turn_time", "turn_count"):
+                got, want = getattr(fast, name), getattr(reference, name)
+                assert got.tobytes() == want.tobytes(), name
+            assert fast.time == reference.time
+        assert reference.turn_count.sum() > cfg.n
 
     def test_mirror_trajectory_equivalence(self):
         # folded billiard position == free-space position passed through
@@ -497,16 +544,21 @@ class TestFlood:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_nearest_d2_matches_dense(self, d, reach):
         # a row whose nearest target is within reach gets the dense
-        # matrix's exact float; any other row gets a value no smaller
+        # matrix's exact float; any other row gets a value no smaller; the
+        # returned block holds every pair within reach
         rng = np.random.default_rng(d)
         query = rng.uniform(0.0, 10.0, size=(200, d))
         target = rng.uniform(0.0, 10.0, size=(100, d))
-        dense = ((query[:, None, :] - target[None, :, :]) ** 2).sum(axis=2).min(axis=1)
-        got = sim_module._nearest_d2(query, target, reach, 10.0)
+        pairs = ((query[:, None, :] - target[None, :, :]) ** 2).sum(axis=2)
+        dense = pairs.min(axis=1)
+        got, candidates, nearby = sim_module._nearest_d2(query, target, reach, 10.0)
         within = dense <= reach**2
         assert within.any()
         np.testing.assert_array_equal(got[within], dense[within])
         assert (got[~within] >= dense[~within]).all()
+        in_block = np.zeros(pairs.shape, dtype=bool)
+        in_block[np.ix_(candidates, nearby)] = True
+        assert in_block[pairs <= reach**2].all()
 
     def test_infection_monotone(self):
         # each call records only nodes not infected before it, and the
@@ -617,15 +669,18 @@ class TestRunEpidemic:
         )
         records = run_epidemic(cfg)
         assert records == every_step_run(cfg)
+        # the default flood shares the watch list; the dense one has none
+        assert records == every_step_run(cfg, flood_step=dense_flood)
         assert len(records) > 1
 
     @pytest.mark.parametrize(
         "d,box_length,n,tau", [(1, 40.0, 20, 0.1), (2, 20.0, 40, 0.1), (3, 8.0, 30, 0.5)]
     )
     def test_flood_is_the_only_neighbour_query(self, d, box_length, n, tau, monkeypatch):
-        # every _nearest_d2 call happens inside a flood call, and the
-        # floods that provably find nothing are still skipped
-        calls = {"flood": 0, "advance": 0, "inside": 0, "outside": 0}
+        # every _nearest_d2 call happens inside a flood call, the floods
+        # that provably find nothing are still skipped, and some floods
+        # are answered by the watch list without a query
+        calls = {"flood": 0, "advance": 0, "inside": 0, "outside": 0, "watched": 0}
         in_flood = [False]
         nearest_d2, real_flood, real_advance = (
             sim_module._nearest_d2, sim_module.flood, sim_module.advance
@@ -637,11 +692,13 @@ class TestRunEpidemic:
 
         def counted_flood(world):
             calls["flood"] += 1
+            inside = calls["inside"]
             in_flood[0] = True
             try:
                 return real_flood(world)
             finally:
                 in_flood[0] = False
+                calls["watched"] += calls["inside"] == inside
 
         def counted_advance(world):
             calls["advance"] += 1
@@ -656,7 +713,8 @@ class TestRunEpidemic:
         )
         assert len(run_epidemic(cfg)) > 1
         assert calls["outside"] == 0
-        assert calls["inside"] >= calls["flood"] > 0
+        assert calls["watched"] > 0
+        assert calls["inside"] > 0
         assert calls["flood"] < calls["advance"]
 
     # Two nodes that close at 2*v from r + 2*v*dt*j +- 1e-12 (r = 1, v*dt
@@ -674,10 +732,11 @@ class TestRunEpidemic:
         run_epidemic's records after checking them against every_step_run."""
         d = len(lead)
         positions = np.array([lead - gap * heading_0, lead])
-        place_two_nodes(monkeypatch, positions, np.array([heading_0, heading_1]))
+        place_nodes(monkeypatch, positions, np.array([heading_0, heading_1]))
         cfg = SimConfig(d=d, box_length=10.0, n=2, v=1.0, tau=0.0, dt=0.05, t_max=1.0)
         records = run_epidemic(cfg)
         assert records == every_step_run(cfg)
+        assert records == every_step_run(cfg, flood_step=dense_flood)
         assert len(records) == 2
         return records
 
@@ -710,6 +769,49 @@ class TestRunEpidemic:
         # first step reflects off every wall at once
         heading = np.ones(d) / math.sqrt(d)
         records = self.two_node_run(monkeypatch, np.full(d, 10.0), heading, heading, gap)
+        assert records[1].infection_time == pytest.approx(0.05 * contact_step)
+
+    # Node 2 closes head-on on the source from r + 2*v*dt*j +- 1e-12, for j
+    # = K and K + 1 with K = _HORIZON_STEPS: contact falls on the last step
+    # a watch list taken at step 0 is valid (K), on the first step it has
+    # expired (K + 1), or, from beyond its reach R, one step later.
+    WATCH_GAPS = [
+        (1.0 + 0.1 * j + sign * 1e-12, j if sign < 0 else j + 1)
+        for j in (sim_module._HORIZON_STEPS, sim_module._HORIZON_STEPS + 1)
+        for sign in (-1.0, 1.0)
+    ]
+
+    @pytest.mark.parametrize("gap,contact_step", WATCH_GAPS)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_watch_list_expires_in_time(self, d, gap, contact_step, monkeypatch):
+        # node 1 trails the source at r + 0.05 on a parallel course: that
+        # block pair stays out of range and keeps every flood on the watch
+        # list, with no flood skipped; node 2 must still be caught on time
+        heading = np.eye(d)[0]
+        source = np.full(d, 5.0)
+        positions = np.array(
+            [source, source - 1.05 * heading, source + gap * heading]
+        )
+        place_nodes(monkeypatch, positions, np.array([heading, heading, -heading]))
+        queried, flooding = [], []
+        nearest_d2, real_flood = sim_module._nearest_d2, sim_module.flood
+
+        def logged_nearest_d2(*args):
+            queried.append(flooding[-1].steps)
+            return nearest_d2(*args)
+
+        def logged_flood(world):
+            flooding.append(world)
+            return real_flood(world)
+
+        monkeypatch.setattr(sim_module, "_nearest_d2", logged_nearest_d2)
+        monkeypatch.setattr(sim_module, "flood", logged_flood)
+        cfg = SimConfig(d=d, box_length=10.0, n=3, v=1.0, tau=0.0, dt=0.05, t_max=2.0)
+        records = run_epidemic(cfg)
+        # no query between the watch taken at step 0 and its expiry at K + 1
+        assert queried[:2] == [0, min(contact_step, sim_module._HORIZON_STEPS + 1)]
+        assert records == every_step_run(cfg, flood_step=dense_flood)
+        assert [r.node_id for r in records[:2]] == [0, 2]
         assert records[1].infection_time == pytest.approx(0.05 * contact_step)
 
     def test_refinement_shifts_times_by_at_most_coarse_steps(self):
