@@ -166,22 +166,28 @@ def _worker_count():
     return max(1, count)
 
 
-def _run_one(config_kwargs, seed):
-    config = SimConfig(**{**config_kwargs, "seed": seed})
-    return seed, run_epidemic(config)
+def _run_batch(config_kwargs, first_seed, runs):
+    config = SimConfig(**{**config_kwargs, "seed": first_seed})
+    return run_epidemic(config, runs)
 
 
 def _run_many(config_kwargs, first_seed, runs):
-    """Independent runs with seeds first_seed, first_seed+1, ...; results
-    ordered by seed regardless of worker count (`pool.map` keeps input
-    order).  No more workers than runs: the pool starts all of its
-    processes on the first submit."""
-    seeds = [first_seed + k for k in range(runs)]
+    """Independent runs with seeds first_seed, first_seed+1, ...; returns
+    (seed, records) pairs in seed order regardless of worker count.  Each
+    worker runs one contiguous chunk of the seeds as one lockstep batch,
+    and `pool.map` keeps the chunks in order.  No more workers than runs:
+    the pool starts all of its processes on the first submit."""
     workers = min(_worker_count(), runs)
+    edges = [first_seed + runs * k // workers for k in range(workers + 1)]
+    chunks = ([config_kwargs] * workers, edges[:-1],
+              [b - a for a, b in zip(edges, edges[1:])])
     if workers == 1:
-        return [_run_one(config_kwargs, s) for s in seeds]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_one, [config_kwargs] * runs, seeds))
+        batches = list(map(_run_batch, *chunks))
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            batches = list(pool.map(_run_batch, *chunks))
+    records = [recs for batch in batches for recs in batch]
+    return list(zip(range(first_seed, first_seed + runs), records))
 
 
 def _box_volume(args):

@@ -23,11 +23,17 @@ same float comparison as the dense one, and a watched or skipped flood is
 an empty one, so records do not depend on the grid, the watch or the
 horizon.
 
+`run_epidemic` runs all the seeds of a batch in lockstep: their motion
+arrays are stacked into one World, and each run's World holds row views
+of that stack, so one `advance` moves them all while each run floods on
+its own rows.  Code that moves nodes therefore writes those arrays only
+in place, never rebinding one.
+
 The module does no I/O: `cli.write_records` writes the records as CSV.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 import numpy as np
@@ -111,7 +117,11 @@ class InfectionRecord:
 
 @dataclass
 class World:
-    """Full mutable simulation state; confined to one thread."""
+    """Full mutable simulation state; confined to one thread.
+
+    In a lockstep batch (`run_epidemic`), positions, directions,
+    next_turn_time and turn_count are row views of the batch's stacked
+    World, so they are only ever updated in place."""
 
     config: SimConfig
     time: float
@@ -257,7 +267,10 @@ def advance(world):
     time can differ from dt in the last bit).  A node whose next turn
     falls inside the step instead walks its turns one at a time on Python
     floats (`_walk_turns`), and its row is written over the array's.  The
-    step is O(n) array work plus a Python loop over the turns."""
+    step is O(n) array work plus a Python loop over the turns.
+
+    The world may be the stack of a lockstep batch, whose arrays the runs
+    hold row views of: every array is updated in place, never rebound."""
     config = world.config
     end = world.time + config.dt
     if not _within_t_max(end, config):
@@ -455,22 +468,79 @@ def flood(world):
     return records
 
 
-def run_epidemic(config):
-    """Full run: init, flood at t = 0, then advance every step until t_max
+def _stack(worlds):
+    """One World whose motion arrays are the worlds' arrays stacked row
+    by row, each world's arrays rebound to its rows of them, so that one
+    `advance` of the stack moves every world.  The worlds share their
+    config apart from the seed, and so their clock.  The stack holds no
+    infection state and is never flooded."""
+    first = worlds[0]
+    stack = World(
+        config=first.config,
+        time=first.time,
+        positions=np.concatenate([w.positions for w in worlds]),
+        directions=np.concatenate([w.directions for w in worlds]),
+        next_turn_time=np.concatenate([w.next_turn_time for w in worlds]),
+        infected=None,
+        turn_count=np.concatenate([w.turn_count for w in worlds]),
+        source_origin=None,
+        steps=first.steps,
+        node_rngs=[rng for w in worlds for rng in w.node_rngs],
+    )
+    n = first.config.n
+    for k, world in enumerate(worlds):
+        rows = slice(k * n, (k + 1) * n)
+        world.positions = stack.positions[rows]
+        world.directions = stack.directions[rows]
+        world.next_turn_time = stack.next_turn_time[rows]
+        world.turn_count = stack.turn_count[rows]
+    return stack
+
+
+def run_epidemic(config, runs=1):
+    """Full runs with seeds config.seed .. config.seed + runs - 1, in
+    lockstep; returns one record list per seed, in seed order.
+
+    Each run is init, flood at t = 0, then advance every step until t_max
     or total infection, flooding after each step unless an earlier flood
     set `world.quiet_floods`.  Skipped floods are exactly the empty ones,
-    so the records equal those of a flood on every step.
+    so the records equal those of a flood on every step.  The runs share
+    their clock, so one `advance` of a stacked World (`_stack`) moves
+    every run still going; each run floods on its own rows.  A run leaves
+    the stack when a flood infects its last node, and the stack is rebuilt
+    from the others.  Every node keeps its own RNG stream and every float
+    operation is elementwise, so each run's records, clock, step and turn
+    counts equal those of the same seed run alone.
 
     Records are in (infection_time, node_id) order, the source first: each
     flood returns its wave in node order at one time, and the waves are
     appended in time order."""
-    world = init_world(config)
-    records = [InfectionRecord(node_id=0, infection_time=0.0, distance=0.0)]
-    records.extend(flood(world))
-    while _within_t_max(world.time + config.dt, config) and not world.infected.all():
-        advance(world)
-        if world.quiet_floods:
-            world.quiet_floods -= 1
-        else:
-            records.extend(flood(world))
-    return records
+    if not _is_int(runs) or runs < 1:
+        raise ConfigError(f"runs must be an integer >= 1, got {runs!r}")
+    results, live = [], []
+    for k in range(runs):
+        world = init_world(replace(config, seed=config.seed + k))
+        records = [InfectionRecord(node_id=0, infection_time=0.0, distance=0.0)]
+        records.extend(flood(world))
+        results.append(records)
+        if not world.infected.all():
+            live.append((world, records))
+    stack = None
+    while live and _within_t_max(live[0][0].time + config.dt, config):
+        if stack is None:
+            stack = _stack([w for w, _ in live])
+        advance(stack)
+        finished = False
+        for world, records in live:
+            world.time, world.steps = stack.time, stack.steps
+            if world.quiet_floods:
+                world.quiet_floods -= 1
+                continue
+            wave = flood(world)
+            if wave:
+                records.extend(wave)
+                finished = finished or world.infected.all()
+        if finished:
+            live = [(w, r) for w, r in live if not w.infected.all()]
+            stack = None
+    return results

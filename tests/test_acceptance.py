@@ -259,12 +259,8 @@ SCENARIOS = [
 def test_criterion_7_figure_scenarios(tau, nu, L):
     start = time.perf_counter()
     n = round(nu * L * L)
-    records = []
-    for seed in range(100):
-        cfg = SimConfig(
-            d=2, box_length=L, n=n, v=1.0, tau=tau, dt=0.05, t_max=1000.0, seed=seed
-        )
-        records.extend(front_records(run_epidemic(cfg)))
+    cfg = SimConfig(d=2, box_length=L, n=n, v=1.0, tau=tau, dt=0.05, t_max=1000.0)
+    records = [rec for run in run_epidemic(cfg, runs=100) for rec in front_records(run)]
     d_min, d_max = 5.0, L / 2.0
     fit = fit_slope(records, d_min, d_max)
     curve = build_curve([r for r in records if r.distance <= d_max], 2.0)
@@ -285,13 +281,12 @@ def test_criterion_8_dt_refinement_stability():
     start = time.perf_counter()
     slopes = {}
     for dt in (0.05, 0.025):
-        records = []
-        for seed in range(20):
-            cfg = SimConfig(
-                d=2, box_length=40.0, n=160, v=1.0, tau=0.0, dt=dt,
-                t_max=1000.0, seed=seed,
-            )
-            records.extend(front_records(run_epidemic(cfg)))
+        cfg = SimConfig(
+            d=2, box_length=40.0, n=160, v=1.0, tau=0.0, dt=dt, t_max=1000.0
+        )
+        records = [
+            rec for run in run_epidemic(cfg, runs=20) for rec in front_records(run)
+        ]
         slopes[dt] = fit_slope(records, 5.0, 20.0).slope
     change = abs(slopes[0.025] - slopes[0.05]) / slopes[0.05]
     elapsed = time.perf_counter() - start

@@ -6,6 +6,7 @@ import pytest
 
 from dtnspeed import cli
 from dtnspeed.cli import main
+from dtnspeed.sim import SimConfig, run_epidemic
 
 
 def run_cli(*argv):
@@ -368,12 +369,20 @@ class TestEntryPoint:
         assert "finite" in proc.stdout
 
     @pytest.mark.parametrize(
-        "threads,runs,pool_size", [("1000000", 2, 2), ("3", 5, 3), ("1000000", 1, None)]
+        "threads,runs,pool_size,chunks",
+        [
+            ("1000000", 2, 2, [(7, 1), (8, 1)]),
+            ("3", 5, 3, [(7, 1), (8, 2), (10, 2)]),
+            ("1", 5, None, [(7, 5)]),
+            ("1000000", 1, None, [(7, 1)]),
+        ],
+        ids=["1000000-2-2", "3-5-3", "1-5-None", "1000000-1-None"],
     )
-    def test_workers_capped_at_runs(self, threads, runs, pool_size, monkeypatch):
+    def test_workers_capped_at_runs(self, threads, runs, pool_size, chunks, monkeypatch):
         # the process pool starts all max_workers processes on its first
-        # submit, so it gets no more workers than runs; one run needs no pool
-        sizes = []
+        # submit, so it gets no more workers than runs; one run needs no
+        # pool; each worker runs one contiguous chunk of seeds as one batch
+        sizes, batches = [], []
 
         class FakePool:
             def __init__(self, max_workers):
@@ -388,12 +397,21 @@ class TestEntryPoint:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
+        def batch(config, runs):
+            batches.append((config.seed, runs))
+            return run_epidemic(config, runs)
+
         monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(cli, "run_epidemic", batch)
         monkeypatch.setenv("DTN_SPEED_THREADS", threads)
         kwargs = dict(d=2, box_length=12.0, n=15, v=1.0, tau=0.0, t_max=20.0)
         results = cli._run_many(kwargs, 7, runs)
         assert [seed for seed, _ in results] == list(range(7, 7 + runs))
         assert sizes == ([] if pool_size is None else [pool_size])
+        assert batches == chunks
+        for seed, records in results:
+            alone = run_epidemic(SimConfig(**kwargs, seed=seed))
+            assert [records] == alone
 
     def test_worker_env_does_not_change_output(self, tmp_path, monkeypatch):
         args = (

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -587,13 +588,13 @@ class TestRunEpidemic:
             cfg = small_config(n=2, seed=seed)
             w = init_world(cfg)
             if np.linalg.norm(w.positions[1] - w.positions[0]) <= 1.0:
-                records = run_epidemic(cfg)
+                records = run_epidemic(cfg)[0]
                 break
         assert records is not None, "no seed produced an initially connected pair"
         assert [r.infection_time for r in records] == [0.0, 0.0]
 
     def test_source_record_first(self):
-        records = run_epidemic(small_config())
+        records = run_epidemic(small_config())[0]
         assert records[0].node_id == 0
         assert records[0].infection_time == 0.0
         assert records[0].distance == 0.0
@@ -602,7 +603,7 @@ class TestRunEpidemic:
         # strict (infection_time, node_id) order: no caller re-sorts
         for d, box_length, n in [(1, 40.0, 20), (2, 10.0, 20), (3, 6.0, 30)]:
             cfg = small_config(d=d, box_length=box_length, n=n, tau=0.5, t_max=60.0)
-            keys = [(r.infection_time, r.node_id) for r in run_epidemic(cfg)]
+            keys = [(r.infection_time, r.node_id) for r in run_epidemic(cfg)[0]]
             assert all(a < b for a, b in zip(keys, keys[1:])), d
             assert len({t for t, _ in keys}) > 2, d
 
@@ -611,7 +612,7 @@ class TestRunEpidemic:
         assert run_epidemic(cfg) == run_epidemic(cfg)
 
     def test_each_node_recorded_once(self):
-        records = run_epidemic(small_config(n=20, t_max=30.0))
+        records = run_epidemic(small_config(n=20, t_max=30.0))[0]
         ids = [r.node_id for r in records]
         assert len(ids) == len(set(ids))
 
@@ -628,7 +629,7 @@ class TestRunEpidemic:
                 t_max=2000.0,
                 seed=seed,
             )
-            assert len(run_epidemic(cfg)) == cfg.n
+            assert len(run_epidemic(cfg)[0]) == cfg.n
 
     @pytest.mark.parametrize(
         "d,box_length,n,tau",
@@ -639,7 +640,7 @@ class TestRunEpidemic:
             d=d, box_length=box_length, n=n, v=1.0, tau=tau, dt=0.05,
             t_max=300.0, seed=4,
         )
-        records = run_epidemic(cfg)
+        records = run_epidemic(cfg)[0]
         assert every_step_run(cfg, dense_flood) == records
         assert len(records) > 1
 
@@ -667,7 +668,7 @@ class TestRunEpidemic:
             d=d, box_length=box_length, n=n, v=1.0, tau=tau,
             radio_range=radio_range, dt=0.05, t_max=100.0, seed=seed,
         )
-        records = run_epidemic(cfg)
+        records = run_epidemic(cfg)[0]
         assert records == every_step_run(cfg)
         # the default flood shares the watch list; the dense one has none
         assert records == every_step_run(cfg, flood_step=dense_flood)
@@ -711,7 +712,7 @@ class TestRunEpidemic:
             d=d, box_length=box_length, n=n, v=1.0, tau=tau, dt=0.05,
             t_max=100.0, seed=4,
         )
-        assert len(run_epidemic(cfg)) > 1
+        assert len(run_epidemic(cfg)[0]) > 1
         assert calls["outside"] == 0
         assert calls["watched"] > 0
         assert calls["inside"] > 0
@@ -734,7 +735,7 @@ class TestRunEpidemic:
         positions = np.array([lead - gap * heading_0, lead])
         place_nodes(monkeypatch, positions, np.array([heading_0, heading_1]))
         cfg = SimConfig(d=d, box_length=10.0, n=2, v=1.0, tau=0.0, dt=0.05, t_max=1.0)
-        records = run_epidemic(cfg)
+        records = run_epidemic(cfg)[0]
         assert records == every_step_run(cfg)
         assert records == every_step_run(cfg, flood_step=dense_flood)
         assert len(records) == 2
@@ -807,7 +808,7 @@ class TestRunEpidemic:
         monkeypatch.setattr(sim_module, "_nearest_d2", logged_nearest_d2)
         monkeypatch.setattr(sim_module, "flood", logged_flood)
         cfg = SimConfig(d=d, box_length=10.0, n=3, v=1.0, tau=0.0, dt=0.05, t_max=2.0)
-        records = run_epidemic(cfg)
+        records = run_epidemic(cfg)[0]
         # no query between the watch taken at step 0 and its expiry at K + 1
         assert queried[:2] == [0, min(contact_step, sim_module._HORIZON_STEPS + 1)]
         assert records == every_step_run(cfg, flood_step=dense_flood)
@@ -817,13 +818,78 @@ class TestRunEpidemic:
     def test_refinement_shifts_times_by_at_most_coarse_steps(self):
         cfg = small_config(n=25, box_length=8.0, t_max=60.0, dt=0.08, seed=2)
         fine = small_config(n=25, box_length=8.0, t_max=60.0, dt=0.02, seed=2)
-        coarse_times = {r.node_id: r.infection_time for r in run_epidemic(cfg)}
-        fine_times = {r.node_id: r.infection_time for r in run_epidemic(fine)}
+        coarse_times = {r.node_id: r.infection_time for r in run_epidemic(cfg)[0]}
+        fine_times = {r.node_id: r.infection_time for r in run_epidemic(fine)[0]}
         for node, t_fine in fine_times.items():
             if node in coarse_times:
                 # finer sampling can only catch contacts earlier, and the
                 # coarse run can lag by contact-detection granularity
                 assert coarse_times[node] >= t_fine - 1e-9
+
+
+class TestLockstep:
+    @staticmethod
+    def captured_worlds(monkeypatch):
+        """Every world `init_world` builds from now on, in build order."""
+        worlds = []
+        real_init_world = sim_module.init_world
+
+        def capture(config):
+            worlds.append(real_init_world(config))
+            return worlds[-1]
+
+        monkeypatch.setattr(sim_module, "init_world", capture)
+        return worlds
+
+    @pytest.mark.parametrize("tau", [0.0, 0.1, 1.0])
+    @pytest.mark.parametrize(
+        "d,box_length,n,t_max", [(1, 25.0, 8, 15.0), (2, 12.0, 12, 40.0), (3, 7.0, 14, 60.0)]
+    )
+    def test_batch_equals_each_seed_alone(self, d, box_length, n, tau, t_max, monkeypatch):
+        # one stacked advance moves every run of the batch; each run must
+        # still be exactly its seed run alone, by run_epidemic and by the
+        # stack-free every_step_run, in records, clock, steps and turns
+        cfg = SimConfig(
+            d=d, box_length=box_length, n=n, v=1.0, tau=tau, dt=0.05,
+            t_max=t_max, seed=5,
+        )
+        worlds = self.captured_worlds(monkeypatch)
+        batch = run_epidemic(cfg, runs=6)
+        batch_worlds = worlds[:]
+        assert [w.config.seed for w in batch_worlds] == list(range(5, 11))
+        for world, records in zip(batch_worlds, batch):
+            seed_cfg = replace(cfg, seed=world.config.seed)
+            del worlds[:]
+            assert run_epidemic(seed_cfg) == [records]
+            assert every_step_run(seed_cfg) == records
+            assert len(worlds) == 2
+            for alone in worlds:
+                assert alone.time == world.time
+                assert alone.steps == world.steps
+                assert np.array_equal(alone.turn_count, world.turn_count)
+                assert np.array_equal(alone.positions, world.positions)
+                assert np.array_equal(alone.infected, world.infected)
+        # the runs leave the batch at different steps, and some reach t_max
+        # with nodes left unreached
+        finished = [w for w in batch_worlds if w.infected.all()]
+        assert len({w.steps for w in finished}) > 1
+        assert len(finished) < len(batch_worlds)
+
+    @pytest.mark.parametrize("runs", [0, -1, 1.5, True, "2"])
+    def test_bad_run_count_refused(self, runs):
+        with pytest.raises(ConfigError, match="runs must be an integer >= 1"):
+            run_epidemic(small_config(), runs=runs)
+
+    def test_run_infected_by_the_first_flood_never_steps(self, monkeypatch):
+        # seed 4 of this dense box connects everyone at t = 0, seed 5 does not
+        cfg = SimConfig(d=1, box_length=3.0, n=6, v=1.0, tau=0.0, t_max=5.0, seed=4)
+        worlds = self.captured_worlds(monkeypatch)
+        first, second = run_epidemic(cfg, runs=2)
+        assert worlds[0].steps == 0 < worlds[1].steps
+        assert [r.infection_time for r in first] == [0.0] * 6
+        assert [first, second] == [
+            run_epidemic(replace(cfg, seed=s))[0] for s in (4, 5)
+        ]
 
 
 class TestWriteRecords:
