@@ -11,19 +11,21 @@ under time-step refinement: only contact detection depends on dt.
 One step is O(n) numpy work and O(n) memory when nodes are sparse.
 `advance` runs every step: it moves all nodes as arrays and walks only
 the direction changes, on Python floats.  `flood` is the only neighbour
-query, on a linked-cell grid of at most 16 cells per node (`_nearest_d2`)
+query, on a linked-cell grid of at most 16 cells per node (`_near_pairs`)
 instead of an n x n distance matrix.  Below the percolation threshold
-most steps bring no contact.  A flood that finds nothing keeps the pairs
-its query found near as a watch list, and until the nodes can have moved
-far enough for another pair to close in, later floods check only those
-pairs.  It also bounds, from the distance between the infected and the
-unreached nodes and the speed bound v, how many of the next floods must
-find nothing, and `run_epidemic` skips them.  Every range decision is the
-same float comparison as the dense one, and a watched or skipped flood is
-an empty one, so records do not depend on the grid, the watch or the
-horizon.
+most steps bring no contact.  A flood keeps the unreached-infected pairs
+that lie within its query's reach as a watch list, and until the nodes
+can have moved far enough for another pair to close in, later floods
+look only at those pairs: an empty flood returns from them, and a flood
+with a contact takes its first wave from them and follows the rest of
+the wave from the new nodes alone.  An empty flood also bounds, from the
+distance between the infected and the unreached nodes and the speed
+bound v, how many of the next floods must find nothing, and
+`run_epidemic` skips them.  Every range decision is the same float
+comparison as the dense one, and a skipped flood is an empty one, so
+records do not depend on the grid, the watch or the horizon.
 
-`run_epidemic` runs all the seeds of a batch in lockstep: their motion
+`run_epidemic` runs the seeds of a batch in lockstep: their motion
 arrays are stacked into one World, and each run's World holds row views
 of that stack, so one `advance` moves them all while each run floods on
 its own rows.  Code that moves nodes therefore writes those arrays only
@@ -133,9 +135,10 @@ class World:
     source_origin: np.ndarray    # source position at t = 0
     quiet_floods: int = 0        # next floods known to find nothing
     steps: int = 0               # advance calls so far
-    # (unreached ids, infected ids, steps) of the pairs an empty flood
-    # found near; it holds while only advance moves nodes and only flood
-    # infects them, so code that edits either by hand sets it to None
+    # (unreached ids, infected ids, steps): the pairs flood watches, and
+    # the step from which they hold every pair that could be within its
+    # query's reach; it holds while only advance moves nodes and only
+    # flood infects them, so code that edits either by hand sets it to None
     watch: Optional[tuple] = None
     node_rngs: List[np.random.Generator] = field(repr=False, default_factory=list)
 
@@ -145,7 +148,8 @@ def _isotropic_direction(rng, d):
     if d == 1:
         return [1.0 if rng.random() < 0.5 else -1.0]
     if d == 2:
-        angle = rng.uniform(0.0, 2.0 * math.pi)
+        # numpy's uniform(0, 2*pi) is 0.0 + 2*pi*random(): the same float
+        angle = 2.0 * math.pi * rng.random()
         return [math.cos(angle), math.sin(angle)]
     while True:
         vec = rng.normal(size=3)
@@ -320,35 +324,32 @@ def _dilated(ids, size, strides):
 
 
 def _pair_d2(near, far):
-    """((a-b)**2).sum() of every (near row, far row) pair, from the
-    transposed (d, m) arrays: one axis at a time, summed in axis order,
-    the floats of the dense matrix without its slow reduction over d <= 3."""
-    delta = near[0][:, None] - far[0]
+    """((a-b)**2).sum() over the first axis of (d, ...) arrays that
+    broadcast against each other: one axis at a time, summed in axis order,
+    the floats of the dense matrix without its slow reduction over d <= 3.
+    Pass (d, m, 1) and (d, k) for all m x k pairs, or two (d, m) arrays for
+    m row pairs; both give each pair the same float."""
+    delta = near[0] - far[0]
     d2 = delta * delta
     for k in range(1, len(near)):
-        delta = near[k][:, None] - far[k]
+        delta = near[k] - far[k]
         d2 += delta * delta
     return d2
 
 
-def _nearest_d2(query, target, reach, box_length):
-    """Least ((a-b)**2).sum() from each query row to the target rows near
-    it, +inf where no target is near; the same floats as a dense distance
-    matrix would hold.  Also returns the block it compared, as the
-    candidate query rows and the nearby target rows.
+def _near_pairs(query, target, reach, box_length):
+    """Every (query row, target row) pair with ((a-b)**2).sum() <= reach**2,
+    as three arrays: query rows, target rows and that d2, the same float a
+    dense distance matrix would hold.
 
     Broad phase on a linked-cell grid of cells at least `reach` wide:
     queries in a cell next to a target's cell become candidates, and only
     they are compared, against the targets next to a candidate's cell.
-    Pairs within reach always sit in adjacent cells, so every pair outside
-    the block is farther apart than reach, a row whose nearest target lies
-    within reach gets that target's d2, and any other row gets +inf or the
-    true d2 of a target beyond reach.  Either way min(sqrt(d2), reach)
-    never exceeds the distance to the nearest target."""
-    nearest = np.full(len(query), math.inf)
-    candidates = nearby = np.empty(0, dtype=np.intp)
+    Pairs within reach always sit in adjacent cells, so no pair within
+    reach is left out."""
+    rows = cols = np.empty(0, dtype=np.intp)
     if not len(query) or not len(target):
-        return nearest, candidates, nearby
+        return rows, cols, np.empty(0)
     d = query.shape[1]
     cells = int(box_length / (reach * (1.0 + _CELL_MARGIN)))
     cap = int((_CELLS_PER_POINT * (len(query) + len(target))) ** (1.0 / d))
@@ -361,10 +362,12 @@ def _nearest_d2(query, target, reach, box_length):
     query_ids = _cell_ids(query, scale, cells, strides)
     target_ids = _cell_ids(target, scale, cells, strides)
     candidates = _dilated(target_ids, size, strides)[query_ids].nonzero()[0]
-    if candidates.size:
-        nearby = _dilated(query_ids[candidates], size, strides)[target_ids].nonzero()[0]
-        nearest[candidates] = _pair_d2(query[candidates].T, target[nearby].T).min(axis=1)
-    return nearest, candidates, nearby
+    if not candidates.size:
+        return rows, cols, np.empty(0)
+    nearby = _dilated(query_ids[candidates], size, strides)[target_ids].nonzero()[0]
+    d2 = _pair_d2(query[candidates].T[..., None], target[nearby].T)
+    rows, cols = (d2 <= reach**2).nonzero()
+    return candidates[rows], nearby[cols], d2[rows, cols]
 
 
 # Most floods a horizon may skip after one flood that found nothing, and
@@ -375,6 +378,14 @@ def _nearest_d2(query, target, reach, box_length):
 _HORIZON_STEPS = 8
 
 
+def _hop_reach(config):
+    """(h, R): the most a pair closes in one step, 2*v*dt plus the clock's
+    rounding in dt, and the reach of `flood`'s grid query, R = r + h*(K+1)
+    with K = _HORIZON_STEPS."""
+    hop = 2.0 * config.v * (config.dt + math.ulp(2.0 * config.t_max))
+    return hop, config.radio_range + hop * (_HORIZON_STEPS + 1)
+
+
 def flood(world):
     """Infect every node in a connected component (unit-disk graph on the
     current positions) that touches an infected node; instantaneous
@@ -382,86 +393,95 @@ def flood(world):
     the current time; idempotent when no new contact exists.
 
     The closure is a breadth-first search with the infected nodes as level
-    0: every level queries the still-unreached susceptibles against the
-    nodes reached last with the linked-cell query `_nearest_d2`, so a
-    call is O(n) array work when nodes are sparse.  A node is reached when
-    its d2 <= r**2; the query's reach R is wider than r, which leaves that
-    decision as it is, since a row whose nearest target lies within R gets
-    the dense float.
+    0.  A node is reached when its d2 <= r**2 to a node of the level
+    before, the same float comparison as on a dense distance matrix.
+    Level 1 comes from unreached-infected pairs within the reach R > r of
+    the linked-cell query `_near_pairs`, or from the watch list below, so
+    a call is O(n) array work when nodes are sparse.  Each later level
+    compares the nodes still unreached with the nodes reached last, with
+    `_pair_d2`: below the threshold that level is a few nodes, and at
+    worst it holds unreached x frontier floats, no more than the n x n
+    block a grid query compares when every node shares one cell.
 
     A node moves at speed v along a continuous path: a turn splits the
     path without lengthening it, and a wall fold is 1-Lipschitz on each
     axis, so a node moves at most v*dt per step, and a pair closes by at
-    most h = 2*v*dt per step (plus the clock's rounding in dt).  The
-    infected set changes only in a flood that reaches someone, so two
-    bounds hold while no flood does:
+    most h = 2*v*dt per step (plus the clock's rounding in dt).  Two
+    bounds follow:
 
-    - Watch list (after Verlet's neighbour list with a skin).  When level
-      0 reaches no one, its query's block is kept in world.watch as node
-      ids: every unreached-infected pair outside it was farther apart than
-      R.  `age` steps later such a pair is still farther apart than
+    - Watch list (after Verlet's neighbour list with a skin).  world.watch
+      holds node-id pairs and the step `taken` from which every
+      unreached-infected pair outside them was farther apart than R: the
+      query's pairs within R when it ran, and after a contact the pairs
+      the search compared within R, added to the old ones whose node is
+      still unreached (the old `taken` is kept, which is conservative).
+      `age` steps later an outside pair is still farther apart than
       outer = R - age*h, so while outer - r - 1e-9*L >= 0 (1e-9*L is
-      slack for rounding in the positions) only the block pairs can be in
-      range.  A later flood then computes their d2, the same floats as
-      the query's, and if none is <= r**2 it is exactly an empty flood and
-      returns without a query.  Otherwise the search runs; a hit clears
-      the watch and a miss keeps a new one.
+      slack for rounding in the positions and in d2) only the watched
+      pairs can be in range, and level 1 is their d2 <= r**2, with no
+      grid query.  Only a flood whose watch has expired, or the first
+      one, runs the query, and its pairs make a new watch.
     - Gap horizon.  An empty flood also sets world.quiet_floods to how
       many of the next floods provably find nothing too (every flood
-      resets it to 0).  gap = min(sqrt(least block d2), outer) - r -
+      resets it to 0).  gap = min(sqrt(least watched d2), outer) - r -
       1e-9*L bounds how far every unreached-infected pair is from
-      contact, with outer = R on a flood that ran the search.  Every pair
+      contact, with outer = R on a flood that ran the query.  Every pair
       stays out of range for k steps with k*h < gap, so the next min(K, k)
       floods find nothing, and `run_epidemic` skips them.
       R = r + h*(K+1), with K = _HORIZON_STEPS.
 
-    Skipped and watched floods are exactly the empty ones, so the records
-    and the trajectories stay as they are."""
+    Skipped and watched floods are exactly the empty ones, and a watched
+    contact reaches the nodes a query would, so the records and the
+    trajectories stay as they are."""
     world.quiet_floods = 0
-    records = []
-    if world.infected.all():
-        return records
     config = world.config
     r, length = config.radio_range, config.box_length
     slack = 1e-9 * length
-    hop = 2.0 * config.v * (config.dt + math.ulp(2.0 * config.t_max))
-    reach = r + hop * (_HORIZON_STEPS + 1)
+    hop, reach = _hop_reach(config)
     pos = world.positions
 
-    def quiet_floods(least, outer):
-        gap = min(math.sqrt(least), outer) - r - slack
-        return min(_HORIZON_STEPS, int(gap / (hop * (1.0 + 1e-9)))) if gap >= 0.0 else 0
-
+    outer = -math.inf
     if world.watch is not None:
-        unreached, infected, taken = world.watch
+        pair_u, pair_i, taken = world.watch
         outer = reach - (world.steps - taken) * hop
-        if outer - r - slack >= 0.0:
-            least = _pair_d2(pos[unreached].T, pos[infected].T).min(initial=math.inf)
-            if least > r**2:
-                world.quiet_floods = quiet_floods(least, outer)
-                return records
-    world.watch = None
-    unreached = (~world.infected).nonzero()[0]
-    infected = world.infected.nonzero()[0]
-    level = pos[infected]
-    reached = []
-    while True:
-        d2, candidates, nearby = _nearest_d2(pos[unreached], level, reach, length)
-        hit = d2 <= r**2
+    if outer - r - slack >= 0.0:
+        d2 = _pair_d2(pos[pair_u].T, pos[pair_i].T)
+    else:
+        outer, taken = reach, world.steps
+        unreached = (~world.infected).nonzero()[0]
+        infected = world.infected.nonzero()[0]
+        rows, cols, d2 = _near_pairs(pos[unreached], pos[infected], reach, length)
+        pair_u, pair_i = unreached[rows], infected[cols]
+        world.watch = (pair_u, pair_i, taken)
+    least = d2.min(initial=math.inf)
+    if least > r**2:
+        gap = min(math.sqrt(least), outer) - r - slack
+        if gap >= 0.0:
+            world.quiet_floods = min(_HORIZON_STEPS, int(gap / (hop * (1.0 + 1e-9))))
+        return []
+
+    reached = np.zeros(config.n, dtype=bool)
+    reached[pair_u[d2 <= r**2]] = True
+    frontier = reached.nonzero()[0]
+    unreached = (~(world.infected | reached)).nonzero()[0]
+    watch_u, watch_i = [pair_u], [pair_i]
+    while frontier.size and unreached.size:
+        d2 = _pair_d2(pos[unreached].T[..., None], pos[frontier].T)
+        rows, cols = (d2 <= reach**2).nonzero()
+        watch_u.append(unreached[rows])
+        watch_i.append(frontier[cols])
+        hit = (d2 <= r**2).any(axis=1)
         frontier = unreached.compress(hit)
-        if not frontier.size:
-            break
-        reached.extend(frontier.tolist())
+        reached[frontier] = True
         unreached = unreached.compress(~hit)
-        level = pos[frontier]
-    if not reached:
-        world.watch = (unreached[candidates], infected[nearby], world.steps)
-        world.quiet_floods = quiet_floods(d2.min(), reach)
-        return records
+    pair_u, pair_i = np.concatenate(watch_u), np.concatenate(watch_i)
+    kept = ~reached[pair_u]
+    world.watch = (pair_u[kept], pair_i[kept], taken)
 
     now = world.time
     origin = world.source_origin
-    for i in sorted(reached):
+    records = []
+    for i in reached.nonzero()[0].tolist():
         world.infected[i] = True
         dist = float(np.linalg.norm(pos[i] - origin))
         records.append(InfectionRecord(node_id=i, infection_time=now, distance=dist))
@@ -497,29 +517,22 @@ def _stack(worlds):
     return stack
 
 
-def run_epidemic(config, runs=1):
-    """Full runs with seeds config.seed .. config.seed + runs - 1, in
-    lockstep; returns one record list per seed, in seed order.
+# Most seeds one lockstep batch holds; a longer run_epidemic steps its
+# seeds in batches of this many, one after the other, so that its memory
+# does not grow with `runs` (each World holds n + 1 PCG64 generators).
+# 100 runs at n = 160 (D=2, L=80, tau=0.1, t_max=1000; 2-core x86-64):
+# max RSS 53.8 MB in one batch, 47.1 MB at 64, 43.0 MB at 32 and 40.5 MB
+# at 16, while the times (12-15 s) stayed within the machine's drift,
+# the 64-run batches the fastest in both of two rounds.
+_LOCKSTEP_RUNS = 64
 
-    Each run is init, flood at t = 0, then advance every step until t_max
-    or total infection, flooding after each step unless an earlier flood
-    set `world.quiet_floods`.  Skipped floods are exactly the empty ones,
-    so the records equal those of a flood on every step.  The runs share
-    their clock, so one `advance` of a stacked World (`_stack`) moves
-    every run still going; each run floods on its own rows.  A run leaves
-    the stack when a flood infects its last node, and the stack is rebuilt
-    from the others.  Every node keeps its own RNG stream and every float
-    operation is elementwise, so each run's records, clock, step and turn
-    counts equal those of the same seed run alone.
 
-    Records are in (infection_time, node_id) order, the source first: each
-    flood returns its wave in node order at one time, and the waves are
-    appended in time order."""
-    if not _is_int(runs) or runs < 1:
-        raise ConfigError(f"runs must be an integer >= 1, got {runs!r}")
+def _run_lockstep(config, seeds):
+    """The runs of `seeds` in lockstep (`run_epidemic`), one record list
+    per seed, in seed order."""
     results, live = [], []
-    for k in range(runs):
-        world = init_world(replace(config, seed=config.seed + k))
+    for seed in seeds:
+        world = init_world(replace(config, seed=seed))
         records = [InfectionRecord(node_id=0, infection_time=0.0, distance=0.0)]
         records.extend(flood(world))
         results.append(records)
@@ -543,4 +556,33 @@ def run_epidemic(config, runs=1):
         if finished:
             live = [(w, r) for w, r in live if not w.infected.all()]
             stack = None
+    return results
+
+
+def run_epidemic(config, runs=1):
+    """Full runs with seeds config.seed .. config.seed + runs - 1, in
+    lockstep batches of at most _LOCKSTEP_RUNS seeds; returns one record
+    list per seed, in seed order.
+
+    Each run is init, flood at t = 0, then advance every step until t_max
+    or total infection, flooding after each step unless an earlier flood
+    set `world.quiet_floods`.  Skipped floods are exactly the empty ones,
+    so the records equal those of a flood on every step.  The runs of a
+    batch share their clock, so one `advance` of a stacked World
+    (`_stack`) moves every run still going; each run floods on its own
+    rows.  A run leaves the stack when a flood infects its last node, and
+    the stack is rebuilt from the others.  Every node keeps its own RNG
+    stream and every float operation is elementwise, so each run's
+    records, clock, step and turn counts equal those of the same seed run
+    alone.
+
+    Records are in (infection_time, node_id) order, the source first: each
+    flood returns its wave in node order at one time, and the waves are
+    appended in time order."""
+    if not _is_int(runs) or runs < 1:
+        raise ConfigError(f"runs must be an integer >= 1, got {runs!r}")
+    results = []
+    for first in range(0, runs, _LOCKSTEP_RUNS):
+        last = min(runs, first + _LOCKSTEP_RUNS)
+        results.extend(_run_lockstep(config, range(config.seed + first, config.seed + last)))
     return results

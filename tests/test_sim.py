@@ -250,6 +250,19 @@ class TestInitWorld:
             norms = np.linalg.norm(w.directions, axis=1)
             assert np.allclose(norms, 1.0, atol=1e-12)
 
+    def test_planar_direction_draw_is_numpy_uniform(self):
+        # 2*pi*random() is the float numpy's uniform(0, 2*pi) draws, from
+        # the same stream position
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            reference = np.random.default_rng(seed)
+            for _ in range(200):
+                angle = reference.uniform(0.0, 2.0 * math.pi)
+                assert sim_module._isotropic_direction(rng, 2) == [
+                    math.cos(angle), math.sin(angle)
+                ]
+            assert rng.bit_generator.state == reference.bit_generator.state
+
     def test_mean_position_of_large_sample(self):
         L, n = 10.0, 100_000
         w = init_world(
@@ -544,22 +557,35 @@ class TestFlood:
     @pytest.mark.parametrize("reach", [10.0, 1.0, 0.5])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_nearest_d2_matches_dense(self, d, reach):
-        # a row whose nearest target is within reach gets the dense
-        # matrix's exact float; any other row gets a value no smaller; the
-        # returned block holds every pair within reach
+        # the grid query returns exactly the pairs within reach, each once,
+        # with the dense matrix's exact float
         rng = np.random.default_rng(d)
         query = rng.uniform(0.0, 10.0, size=(200, d))
         target = rng.uniform(0.0, 10.0, size=(100, d))
         pairs = ((query[:, None, :] - target[None, :, :]) ** 2).sum(axis=2)
-        dense = pairs.min(axis=1)
-        got, candidates, nearby = sim_module._nearest_d2(query, target, reach, 10.0)
-        within = dense <= reach**2
+        rows, cols, d2 = sim_module._near_pairs(query, target, reach, 10.0)
+        within = pairs <= reach**2
         assert within.any()
-        np.testing.assert_array_equal(got[within], dense[within])
-        assert (got[~within] >= dense[~within]).all()
-        in_block = np.zeros(pairs.shape, dtype=bool)
-        in_block[np.ix_(candidates, nearby)] = True
-        assert in_block[pairs <= reach**2].all()
+        assert sorted(zip(rows.tolist(), cols.tolist())) == list(zip(*within.nonzero()))
+        np.testing.assert_array_equal(d2, pairs[rows, cols])
+
+    def test_fully_infected_world(self, monkeypatch):
+        # no unreached node: flood builds no grid, reaches no one and
+        # leaves the nodes as they are
+        w = init_world(small_config(n=5))
+        w.infected[:] = True
+        before = (w.positions.copy(), w.directions.copy(), w.time, w.steps)
+
+        def no_grid(*args):
+            raise AssertionError("grid built for a fully infected world")
+
+        monkeypatch.setattr(sim_module, "_cell_ids", no_grid)
+        assert flood(w) == []
+        assert flood(w) == []
+        assert w.infected.all()
+        assert np.array_equal(w.positions, before[0])
+        assert np.array_equal(w.directions, before[1])
+        assert (w.time, w.steps) == before[2:]
 
     def test_infection_monotone(self):
         # each call records only nodes not infected before it, and the
@@ -577,6 +603,51 @@ class TestFlood:
             advance(w)
         assert previous.sum() > 1
 
+
+    @pytest.mark.parametrize(
+        "d,box_length,n,tau",
+        [(1, 40.0, 20, 0.5), (2, 15.0, 40, 0.2), (2, 30.0, 80, 2.0), (3, 8.0, 40, 1.0)],
+    )
+    def test_watch_holds_every_pair_that_can_close_in(
+        self, d, box_length, n, tau, monkeypatch
+    ):
+        # after every flood, every unreached-infected pair within outer =
+        # R - age*h of the watch (less the rounding slack) is a watched
+        # pair, checked against all pairs; watched pairs are unreached-
+        # infected, and some contacts are found from the watch alone
+        cfg = SimConfig(d=d, box_length=box_length, n=n, v=1.0, tau=tau,
+                        dt=0.05, t_max=60.0, seed=7)
+        hop, reach = sim_module._hop_reach(cfg)
+        slack = 1e-9 * box_length
+        w = init_world(cfg)
+        queried, hit_steps = [], []
+        near_pairs = sim_module._near_pairs
+
+        def logged_near_pairs(*args):
+            queried.append(w.steps)
+            return near_pairs(*args)
+
+        monkeypatch.setattr(sim_module, "_near_pairs", logged_near_pairs)
+        while True:
+            if flood(w):
+                hit_steps.append(w.steps)
+            pair_u, pair_i, taken = w.watch
+            assert not w.infected[pair_u].any()
+            assert w.infected[pair_i].all()
+            outer = reach - (w.steps - taken) * hop
+            unreached = np.flatnonzero(~w.infected)
+            infected = np.flatnonzero(w.infected)
+            pos = w.positions
+            d2 = ((pos[unreached][:, None, :] - pos[infected][None, :, :]) ** 2).sum(axis=2)
+            rows, cols = (d2 <= (outer - slack) ** 2).nonzero()
+            watched = set(zip(pair_u.tolist(), pair_i.tolist()))
+            close = set(zip(unreached[rows].tolist(), infected[cols].tolist()))
+            assert close <= watched, w.steps
+            if w.infected.all() or not sim_module._within_t_max(w.time + cfg.dt, cfg):
+                break
+            advance(w)
+        assert len(hit_steps) > 2
+        assert set(hit_steps) - set(queried)
 
 class TestRunEpidemic:
     def test_initially_connected_pair(self):
@@ -678,18 +749,18 @@ class TestRunEpidemic:
         "d,box_length,n,tau", [(1, 40.0, 20, 0.1), (2, 20.0, 40, 0.1), (3, 8.0, 30, 0.5)]
     )
     def test_flood_is_the_only_neighbour_query(self, d, box_length, n, tau, monkeypatch):
-        # every _nearest_d2 call happens inside a flood call, the floods
-        # that provably find nothing are still skipped, and some floods
-        # are answered by the watch list without a query
+        # every grid query happens inside a flood call, the floods that
+        # provably find nothing are still skipped, and some floods are
+        # answered by the watch list without a query
         calls = {"flood": 0, "advance": 0, "inside": 0, "outside": 0, "watched": 0}
         in_flood = [False]
-        nearest_d2, real_flood, real_advance = (
-            sim_module._nearest_d2, sim_module.flood, sim_module.advance
+        near_pairs, real_flood, real_advance = (
+            sim_module._near_pairs, sim_module.flood, sim_module.advance
         )
 
-        def counted_nearest_d2(*args):
+        def counted_near_pairs(*args):
             calls["inside" if in_flood[0] else "outside"] += 1
-            return nearest_d2(*args)
+            return near_pairs(*args)
 
         def counted_flood(world):
             calls["flood"] += 1
@@ -705,7 +776,7 @@ class TestRunEpidemic:
             calls["advance"] += 1
             return real_advance(world)
 
-        monkeypatch.setattr(sim_module, "_nearest_d2", counted_nearest_d2)
+        monkeypatch.setattr(sim_module, "_near_pairs", counted_near_pairs)
         monkeypatch.setattr(sim_module, "flood", counted_flood)
         monkeypatch.setattr(sim_module, "advance", counted_advance)
         cfg = SimConfig(
@@ -774,8 +845,9 @@ class TestRunEpidemic:
 
     # Node 2 closes head-on on the source from r + 2*v*dt*j +- 1e-12, for j
     # = K and K + 1 with K = _HORIZON_STEPS: contact falls on the last step
-    # a watch list taken at step 0 is valid (K), on the first step it has
-    # expired (K + 1), or, from beyond its reach R, one step later.
+    # a watch list taken at step 0 is valid (K), and is found from it, on
+    # the first step it has expired (K + 1), or, from beyond its reach R,
+    # one step later.
     WATCH_GAPS = [
         (1.0 + 0.1 * j + sign * 1e-12, j if sign < 0 else j + 1)
         for j in (sim_module._HORIZON_STEPS, sim_module._HORIZON_STEPS + 1)
@@ -786,8 +858,9 @@ class TestRunEpidemic:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_watch_list_expires_in_time(self, d, gap, contact_step, monkeypatch):
         # node 1 trails the source at r + 0.05 on a parallel course: that
-        # block pair stays out of range and keeps every flood on the watch
-        # list, with no flood skipped; node 2 must still be caught on time
+        # watched pair stays out of range and keeps every flood on the watch
+        # list, with no flood skipped; node 2 must still be caught on time,
+        # and a contact at step K comes from the watch list, not a query
         heading = np.eye(d)[0]
         source = np.full(d, 5.0)
         positions = np.array(
@@ -795,22 +868,22 @@ class TestRunEpidemic:
         )
         place_nodes(monkeypatch, positions, np.array([heading, heading, -heading]))
         queried, flooding = [], []
-        nearest_d2, real_flood = sim_module._nearest_d2, sim_module.flood
+        near_pairs, real_flood = sim_module._near_pairs, sim_module.flood
 
-        def logged_nearest_d2(*args):
+        def logged_near_pairs(*args):
             queried.append(flooding[-1].steps)
-            return nearest_d2(*args)
+            return near_pairs(*args)
 
         def logged_flood(world):
             flooding.append(world)
             return real_flood(world)
 
-        monkeypatch.setattr(sim_module, "_nearest_d2", logged_nearest_d2)
+        monkeypatch.setattr(sim_module, "_near_pairs", logged_near_pairs)
         monkeypatch.setattr(sim_module, "flood", logged_flood)
         cfg = SimConfig(d=d, box_length=10.0, n=3, v=1.0, tau=0.0, dt=0.05, t_max=2.0)
         records = run_epidemic(cfg)[0]
         # no query between the watch taken at step 0 and its expiry at K + 1
-        assert queried[:2] == [0, min(contact_step, sim_module._HORIZON_STEPS + 1)]
+        assert queried[:2] == [0, sim_module._HORIZON_STEPS + 1]
         assert records == every_step_run(cfg, flood_step=dense_flood)
         assert [r.node_id for r in records[:2]] == [0, 2]
         assert records[1].infection_time == pytest.approx(0.05 * contact_step)
@@ -874,6 +947,26 @@ class TestLockstep:
         finished = [w for w in batch_worlds if w.infected.all()]
         assert len({w.steps for w in finished}) > 1
         assert len(finished) < len(batch_worlds)
+
+    def test_batches_past_the_cap_equal_each_seed_alone(self, monkeypatch):
+        # a run count past the lockstep cap is stepped in batches of at
+        # most the cap, and each seed's records are still its own
+        cfg = SimConfig(d=1, box_length=12.0, n=4, v=1.0, tau=0.5, t_max=10.0, seed=3)
+        runs = sim_module._LOCKSTEP_RUNS + 3
+        batches = []
+        real_run_lockstep = sim_module._run_lockstep
+
+        def logged_run_lockstep(config, seeds):
+            batches.append(seeds)
+            return real_run_lockstep(config, seeds)
+
+        monkeypatch.setattr(sim_module, "_run_lockstep", logged_run_lockstep)
+        batch = run_epidemic(cfg, runs=runs)
+        assert [len(seeds) for seeds in batches] == [sim_module._LOCKSTEP_RUNS, 3]
+        assert len(batch) == runs
+        for k, records in enumerate(batch):
+            assert run_epidemic(replace(cfg, seed=3 + k)) == [records]
+        assert len({len(records) for records in batch}) > 1
 
     @pytest.mark.parametrize("runs", [0, -1, 1.5, True, "2"])
     def test_bad_run_count_refused(self, runs):
