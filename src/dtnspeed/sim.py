@@ -18,18 +18,21 @@ that lie within its query's reach as a watch list, and until the nodes
 can have moved far enough for another pair to close in, later floods
 look only at those pairs: an empty flood returns from them, and a flood
 with a contact takes its first wave from them and follows the rest of
-the wave from the new nodes alone.  An empty flood also bounds, from the
+the wave from the new nodes alone.  A flood also bounds, from the
 distance between the infected and the unreached nodes and the speed
 bound v, how many of the next floods must find nothing, and
 `run_epidemic` skips them.  Every range decision is the same float
 comparison as the dense one, and a skipped flood is an empty one, so
 records do not depend on the grid, the watch or the horizon.
 
-`run_epidemic` runs the seeds of a batch in lockstep: their motion
-arrays are stacked into one World, and each run's World holds row views
-of that stack, so one `advance` moves them all while each run floods on
-its own rows.  Code that moves nodes therefore writes those arrays only
-in place, never rebinding one.
+`run_epidemic` runs the seeds of a batch in lockstep, as one World that
+stacks their runs: rows k*n .. k*n+n-1 of every per-node array are run
+k, and source_origin has one row per run.  A plain World is a stack of
+one.  One `advance` moves every run and one `flood` floods every run:
+its grid query gives each run its own block of cells, so nodes of
+different runs are never compared, and it returns records keyed by stack
+row.  Each run's World holds row views of the stack, so code that moves
+or infects nodes writes those arrays only in place, never rebinding one.
 
 The module does no I/O: `cli.write_records` writes the records as CSV.
 """
@@ -121,9 +124,12 @@ class InfectionRecord:
 class World:
     """Full mutable simulation state; confined to one thread.
 
-    In a lockstep batch (`run_epidemic`), positions, directions,
-    next_turn_time and turn_count are row views of the batch's stacked
-    World, so they are only ever updated in place."""
+    A World may be the stack of a lockstep batch (`_stack`): it then
+    holds R = len(positions) // n runs, rows k*n .. k*n+n-1 of each
+    per-node array being run k, and source_origin holds one row per run.
+    A plain World is a stack of one.  Each run's own World holds row views
+    of positions, directions, next_turn_time, infected and turn_count, so
+    they are only ever updated in place."""
 
     config: SimConfig
     time: float
@@ -132,10 +138,10 @@ class World:
     next_turn_time: np.ndarray   # (n,), +inf when tau = 0
     infected: np.ndarray         # (n,) bool, monotone; node 0 is the source
     turn_count: np.ndarray       # (n,) int, diagnostics
-    source_origin: np.ndarray    # source position at t = 0
+    source_origin: np.ndarray    # source position at t = 0: (d,), or (R, d)
     quiet_floods: int = 0        # next floods known to find nothing
     steps: int = 0               # advance calls so far
-    # (unreached ids, infected ids, steps): the pairs flood watches, and
+    # (unreached rows, infected rows, steps): the pairs flood watches, and
     # the step from which they hold every pair that could be within its
     # query's reach; it holds while only advance moves nodes and only
     # flood infects them, so code that edits either by hand sets it to None
@@ -337,37 +343,56 @@ def _pair_d2(near, far):
     return d2
 
 
-def _near_pairs(query, target, reach, box_length):
-    """Every (query row, target row) pair with ((a-b)**2).sum() <= reach**2,
-    as three arrays: query rows, target rows and that d2, the same float a
-    dense distance matrix would hold.
+def _near_pairs(points, query, target, reach, box_length, n):
+    """Every (query row, target row) pair of one run with ((a-b)**2).sum()
+    <= reach**2, as three arrays: query rows, target rows and that d2, the
+    same float a dense distance matrix would hold.  query and target are
+    ascending rows of `points`, which holds runs of n rows each (row k*n
+    .. k*n+n-1 is run k; n = len(points) for one run), and each run's
+    pairs are those of its own query, as if the other runs were not there.
 
-    Broad phase on a linked-cell grid of cells at least `reach` wide:
-    queries in a cell next to a target's cell become candidates, and only
-    they are compared, against the targets next to a candidate's cell.
-    Pairs within reach always sit in adjacent cells, so no pair within
-    reach is left out."""
+    Broad phase on a linked-cell grid of cells at least `reach` wide, one
+    block of cells per run, sized from the points per run: queries in a
+    cell next to a target's cell become candidates, and only they are
+    compared, against the targets next to a candidate's cell.  Pairs
+    within reach always sit in adjacent cells, so no pair within reach is
+    left out.  Cells of different runs are never adjacent, so a run's
+    candidates meet only its own targets, and the narrow phase is one
+    dense block per run that has candidates."""
     rows = cols = np.empty(0, dtype=np.intp)
     if not len(query) or not len(target):
         return rows, cols, np.empty(0)
-    d = query.shape[1]
+    d = points.shape[1]
+    runs = len(points) // n
     cells = int(box_length / (reach * (1.0 + _CELL_MARGIN)))
-    cap = int((_CELLS_PER_POINT * (len(query) + len(target))) ** (1.0 / d))
+    cap = int((_CELLS_PER_POINT * n) ** (1.0 / d))
     cells = max(1, min(cells, cap))
     scale = cells / box_length
     side = cells + 2
     strides = [side**k for k in range(d - 1, -1, -1)]
     size = side**d
 
-    query_ids = _cell_ids(query, scale, cells, strides)
-    target_ids = _cell_ids(target, scale, cells, strides)
-    candidates = _dilated(target_ids, size, strides)[query_ids].nonzero()[0]
+    ids = _cell_ids(points, scale, cells, strides)
+    ids += np.arange(0, runs * size, size).repeat(n)
+    query_ids, target_ids = ids[query], ids[target]
+    candidates = query[_dilated(target_ids, runs * size, strides)[query_ids]]
     if not candidates.size:
         return rows, cols, np.empty(0)
-    nearby = _dilated(query_ids[candidates], size, strides)[target_ids].nonzero()[0]
-    d2 = _pair_d2(query[candidates].T[..., None], target[nearby].T)
-    rows, cols = (d2 <= reach**2).nonzero()
-    return candidates[rows], nearby[cols], d2[rows, cols]
+    nearby = target[_dilated(ids[candidates], runs * size, strides)[target_ids]]
+    # both lists ascend by row and so by run; the narrow phase is one
+    # block per run that has candidates, and such a run has nearby targets
+    bounds = np.arange(n, runs * n, n)
+    near_cuts = [0, *np.searchsorted(candidates, bounds).tolist(), len(candidates)]
+    far_cuts = [0, *np.searchsorted(nearby, bounds).tolist(), len(nearby)]
+    parts = []
+    for a, b, c, e in zip(near_cuts, near_cuts[1:], far_cuts, far_cuts[1:]):
+        if a < b:
+            near, far = candidates[a:b], nearby[c:e]
+            d2 = _pair_d2(points[near].T[..., None], points[far].T)
+            rows, cols = (d2 <= reach**2).nonzero()
+            parts.append((near[rows], far[cols], d2[rows, cols]))
+    rows, cols, d2 = zip(*parts)
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(d2)
 
 
 # Most floods a horizon may skip after one flood that found nothing, and
@@ -389,19 +414,27 @@ def _hop_reach(config):
 def flood(world):
     """Infect every node in a connected component (unit-disk graph on the
     current positions) that touches an infected node; instantaneous
-    multi-hop relay.  Returns the new records, in node order and all at
+    multi-hop relay.  Returns the new records, in row order and all at
     the current time; idempotent when no new contact exists.
+
+    The world may be a lockstep stack of R = len(positions) // n runs
+    (`_stack`): rows k*n .. k*n+n-1 are run k, and nodes of different
+    runs never meet.  A record's node_id is its stack row, which for a
+    plain World is the node id, and its distance is measured from the
+    origin of that row's run (source_origin holds one row per run).
 
     The closure is a breadth-first search with the infected nodes as level
     0.  A node is reached when its d2 <= r**2 to a node of the level
     before, the same float comparison as on a dense distance matrix.
     Level 1 comes from unreached-infected pairs within the reach R > r of
-    the linked-cell query `_near_pairs`, or from the watch list below, so
-    a call is O(n) array work when nodes are sparse.  Each later level
-    compares the nodes still unreached with the nodes reached last, with
-    `_pair_d2`: below the threshold that level is a few nodes, and at
-    worst it holds unreached x frontier floats, no more than the n x n
-    block a grid query compares when every node shares one cell.
+    the linked-cell query `_near_pairs`, which serves every run of the
+    stack at once, or from the watch list below, so a call is O(n) array
+    work when nodes are sparse.  Each later level runs per run with a
+    contact, on that run's rows: it compares the nodes still unreached
+    with the nodes reached last, with `_pair_d2`.  Below the threshold
+    that level is a few nodes, and at worst it holds unreached x frontier
+    floats, no more than the n x n block a grid query compares when every
+    node of a run shares one cell.
 
     A node moves at speed v along a continuous path: a turn splits the
     path without lengthening it, and a wall fold is 1-Lipschitz on each
@@ -410,7 +443,7 @@ def flood(world):
     bounds follow:
 
     - Watch list (after Verlet's neighbour list with a skin).  world.watch
-      holds node-id pairs and the step `taken` from which every
+      holds row pairs and the step `taken` from which every
       unreached-infected pair outside them was farther apart than R: the
       query's pairs within R when it ran, and after a contact the pairs
       the search compared within R, added to the old ones whose node is
@@ -420,22 +453,24 @@ def flood(world):
       slack for rounding in the positions and in d2) only the watched
       pairs can be in range, and level 1 is their d2 <= r**2, with no
       grid query.  Only a flood whose watch has expired, or the first
-      one, runs the query, and its pairs make a new watch.
-    - Gap horizon.  An empty flood also sets world.quiet_floods to how
-      many of the next floods provably find nothing too (every flood
-      resets it to 0).  gap = min(sqrt(least watched d2), outer) - r -
-      1e-9*L bounds how far every unreached-infected pair is from
-      contact, with outer = R on a flood that ran the query.  Every pair
-      stays out of range for k steps with k*h < gap, so the next min(K, k)
-      floods find nothing, and `run_epidemic` skips them.
-      R = r + h*(K+1), with K = _HORIZON_STEPS.
+      one, runs the query, and its pairs make a new watch.  A stack has
+      one watch for all its runs.
+    - Gap horizon.  A flood also sets world.quiet_floods to how many of
+      the next floods provably find nothing (every flood resets it to 0
+      first).  gap = min(sqrt(least watched d2), outer) - r - 1e-9*L
+      bounds how far every unreached-infected pair of every run is from
+      contact, with outer = R on a flood that ran the query, and after a
+      contact the watch it keeps.  Every pair stays out of range for k
+      steps with k*h < gap, so the next min(K, k) floods find nothing,
+      and `run_epidemic` skips them.  R = r + h*(K+1), with
+      K = _HORIZON_STEPS.
 
     Skipped and watched floods are exactly the empty ones, and a watched
     contact reaches the nodes a query would, so the records and the
     trajectories stay as they are."""
     world.quiet_floods = 0
     config = world.config
-    r, length = config.radio_range, config.box_length
+    n, r, length = config.n, config.radio_range, config.box_length
     slack = 1e-9 * length
     hop, reach = _hop_reach(config)
     pos = world.positions
@@ -450,50 +485,74 @@ def flood(world):
         outer, taken = reach, world.steps
         unreached = (~world.infected).nonzero()[0]
         infected = world.infected.nonzero()[0]
-        rows, cols, d2 = _near_pairs(pos[unreached], pos[infected], reach, length)
-        pair_u, pair_i = unreached[rows], infected[cols]
+        pair_u, pair_i, d2 = _near_pairs(pos, unreached, infected, reach, length, n)
         world.watch = (pair_u, pair_i, taken)
     least = d2.min(initial=math.inf)
     if least > r**2:
-        gap = min(math.sqrt(least), outer) - r - slack
-        if gap >= 0.0:
-            world.quiet_floods = min(_HORIZON_STEPS, int(gap / (hop * (1.0 + 1e-9))))
-        return []
-
-    reached = np.zeros(config.n, dtype=bool)
-    reached[pair_u[d2 <= r**2]] = True
-    frontier = reached.nonzero()[0]
-    unreached = (~(world.infected | reached)).nonzero()[0]
-    watch_u, watch_i = [pair_u], [pair_i]
-    while frontier.size and unreached.size:
-        d2 = _pair_d2(pos[unreached].T[..., None], pos[frontier].T)
-        rows, cols = (d2 <= reach**2).nonzero()
-        watch_u.append(unreached[rows])
-        watch_i.append(frontier[cols])
-        hit = (d2 <= r**2).any(axis=1)
-        frontier = unreached.compress(hit)
-        reached[frontier] = True
-        unreached = unreached.compress(~hit)
-    pair_u, pair_i = np.concatenate(watch_u), np.concatenate(watch_i)
-    kept = ~reached[pair_u]
-    world.watch = (pair_u[kept], pair_i[kept], taken)
-
-    now = world.time
-    origin = world.source_origin
-    records = []
-    for i in reached.nonzero()[0].tolist():
-        world.infected[i] = True
-        dist = float(np.linalg.norm(pos[i] - origin))
-        records.append(InfectionRecord(node_id=i, infection_time=now, distance=dist))
+        records = []
+    else:
+        records, least = _spread(world, pair_u, pair_i, d2, taken, reach)
+    gap = min(math.sqrt(least), outer) - r - slack
+    if gap >= 0.0:
+        world.quiet_floods = min(_HORIZON_STEPS, int(gap / (hop * (1.0 + 1e-9))))
     return records
 
 
+def _spread(world, pair_u, pair_i, d2, taken, reach):
+    """The rest of a flood whose level-1 pairs (pair_u, pair_i, d2) show a
+    contact: the search on the rows of each run with a contact, the watch
+    it leaves, and the records.  Returns the records and the least d2 of
+    the pairs that watch keeps."""
+    config = world.config
+    n, r = config.n, config.radio_range
+    pos, infected = world.positions, world.infected
+    hits = pair_u[d2 <= r**2]
+    reached = np.zeros(len(pos), dtype=bool)
+    reached[hits] = True
+    free = ~(infected | reached)
+    watch_u, watch_i, watch_d2 = [pair_u], [pair_i], [d2]
+    for k in sorted({i // n for i in hits.tolist()}):
+        # the search runs on run k's rows, numbered from 0 within the run
+        rows = slice(k * n, k * n + n)
+        run_pos, run_reached = pos[rows], reached[rows]
+        frontier = run_reached.nonzero()[0]
+        unreached = free[rows].nonzero()[0]
+        while frontier.size and unreached.size:
+            d2 = _pair_d2(run_pos[unreached].T[..., None], run_pos[frontier].T)
+            near, far = (d2 <= reach**2).nonzero()
+            close = d2[near, far]
+            watch_u.append(unreached[near] + k * n)
+            watch_i.append(frontier[far] + k * n)
+            watch_d2.append(close)
+            # pairs within r are within reach R > r, so among the close ones
+            hit = np.zeros(len(unreached), dtype=bool)
+            hit[near[close <= r**2]] = True
+            frontier = unreached.compress(hit)
+            run_reached[frontier] = True
+            unreached = unreached.compress(~hit)
+    pair_u, pair_i = np.concatenate(watch_u), np.concatenate(watch_i)
+    kept = ~reached[pair_u]
+    world.watch = (pair_u[kept], pair_i[kept], taken)
+    least = np.concatenate(watch_d2).min(initial=math.inf, where=kept)
+
+    # the distance is np.linalg.norm's float: the square root of the dot
+    now = world.time
+    origins = world.source_origin.reshape(-1, pos.shape[1])
+    records = []
+    for i in reached.nonzero()[0].tolist():
+        infected[i] = True
+        delta = pos[i] - origins[i // n]
+        records.append(InfectionRecord(i, now, math.sqrt(delta.dot(delta))))
+    return records, least
+
+
 def _stack(worlds):
-    """One World whose motion arrays are the worlds' arrays stacked row
-    by row, each world's arrays rebound to its rows of them, so that one
-    `advance` of the stack moves every world.  The worlds share their
-    config apart from the seed, and so their clock.  The stack holds no
-    infection state and is never flooded."""
+    """One World whose arrays are the worlds' arrays stacked row by row,
+    run k in rows k*n .. k*n+n-1, each world's arrays rebound to its rows
+    of them, so that one `advance` or `flood` of the stack moves or floods
+    every world.  The worlds share their config apart from the seed, and
+    so their clock.  source_origin holds one row per world; the stack
+    starts with no watch and no horizon."""
     first = worlds[0]
     stack = World(
         config=first.config,
@@ -501,9 +560,9 @@ def _stack(worlds):
         positions=np.concatenate([w.positions for w in worlds]),
         directions=np.concatenate([w.directions for w in worlds]),
         next_turn_time=np.concatenate([w.next_turn_time for w in worlds]),
-        infected=None,
+        infected=np.concatenate([w.infected for w in worlds]),
         turn_count=np.concatenate([w.turn_count for w in worlds]),
-        source_origin=None,
+        source_origin=np.stack([w.source_origin for w in worlds]),
         steps=first.steps,
         node_rngs=[rng for w in worlds for rng in w.node_rngs],
     )
@@ -513,6 +572,7 @@ def _stack(worlds):
         world.positions = stack.positions[rows]
         world.directions = stack.directions[rows]
         world.next_turn_time = stack.next_turn_time[rows]
+        world.infected = stack.infected[rows]
         world.turn_count = stack.turn_count[rows]
     return stack
 
@@ -520,42 +580,51 @@ def _stack(worlds):
 # Most seeds one lockstep batch holds; a longer run_epidemic steps its
 # seeds in batches of this many, one after the other, so that its memory
 # does not grow with `runs` (each World holds n + 1 PCG64 generators).
-# 100 runs at n = 160 (D=2, L=80, tau=0.1, t_max=1000; 2-core x86-64):
-# max RSS 53.8 MB in one batch, 47.1 MB at 64, 43.0 MB at 32 and 40.5 MB
-# at 16, while the times (12-15 s) stayed within the machine's drift,
-# the 64-run batches the fastest in both of two rounds.
+# 100 runs at n = 160 (D=2, L=80, tau=0.1, t_max=1000, seed 0; 2-core
+# x86-64), with one flood of the stack per step: max RSS 54.3 MB in one
+# batch, 47.4 MB at 64, 43.3 MB at 32 and 40.8 MB at 16, and CPU times of
+# 4.3-4.9 s in two rounds, within the machine's drift, the 64-run batches
+# the fastest in both (6.2-6.7 s at 64 when each run flooded alone).
 _LOCKSTEP_RUNS = 64
 
 
 def _run_lockstep(config, seeds):
     """The runs of `seeds` in lockstep (`run_epidemic`), one record list
     per seed, in seed order."""
-    results, live = [], []
-    for seed in seeds:
-        world = init_world(replace(config, seed=seed))
-        records = [InfectionRecord(node_id=0, infection_time=0.0, distance=0.0)]
-        records.extend(flood(world))
-        results.append(records)
-        if not world.infected.all():
-            live.append((world, records))
-    stack = None
-    while live and _within_t_max(live[0][0].time + config.dt, config):
-        if stack is None:
-            stack = _stack([w for w, _ in live])
+    n = config.n
+    live = [
+        (init_world(replace(config, seed=seed)),
+         [InfectionRecord(node_id=0, infection_time=0.0, distance=0.0)])
+        for seed in seeds
+    ]
+    results = [records for _, records in live]
+    stack = _stack([world for world, _ in live])
+    wave = flood(stack)
+    while True:
+        if wave:
+            for record in wave:
+                k, node = divmod(record.node_id, n)
+                if k:  # run 0's rows are its node ids
+                    record = InfectionRecord(node, record.infection_time, record.distance)
+                live[k][1].append(record)
+            going = [(w, r) for w, r in live if not w.infected.all()]
+            if len(going) < len(live):
+                for world, _ in live:
+                    world.time, world.steps = stack.time, stack.steps
+                live = going
+                if not live:
+                    break
+                stack = _stack([world for world, _ in live])
+        if not _within_t_max(stack.time + config.dt, config):
+            break
         advance(stack)
-        finished = False
-        for world, records in live:
-            world.time, world.steps = stack.time, stack.steps
-            if world.quiet_floods:
-                world.quiet_floods -= 1
-                continue
-            wave = flood(world)
-            if wave:
-                records.extend(wave)
-                finished = finished or world.infected.all()
-        if finished:
-            live = [(w, r) for w, r in live if not w.infected.all()]
-            stack = None
+        if stack.quiet_floods:
+            stack.quiet_floods -= 1
+            wave = []
+        else:
+            wave = flood(stack)
+    for world, _ in live:
+        world.time, world.steps = stack.time, stack.steps
     return results
 
 
@@ -568,13 +637,15 @@ def run_epidemic(config, runs=1):
     or total infection, flooding after each step unless an earlier flood
     set `world.quiet_floods`.  Skipped floods are exactly the empty ones,
     so the records equal those of a flood on every step.  The runs of a
-    batch share their clock, so one `advance` of a stacked World
-    (`_stack`) moves every run still going; each run floods on its own
-    rows.  A run leaves the stack when a flood infects its last node, and
-    the stack is rebuilt from the others.  Every node keeps its own RNG
-    stream and every float operation is elementwise, so each run's
-    records, clock, step and turn counts equal those of the same seed run
-    alone.
+    batch share their clock, so they are stacked into one World (`_stack`)
+    and each step makes one `advance` and at most one `flood` of the
+    stack, whose records are mapped from stack rows back to (run, node).
+    A run leaves the stack when a flood infects its last node: its World
+    is released, and the stack is rebuilt from the others.  Every node
+    keeps its own RNG stream, every float operation is elementwise, and
+    every contact is decided within one run on the same float, so each
+    run's records, clock, step and turn counts equal those of the same
+    seed run alone.
 
     Records are in (infection_time, node_id) order, the source first: each
     flood returns its wave in node order at one time, and the waves are

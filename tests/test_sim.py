@@ -563,7 +563,12 @@ class TestFlood:
         query = rng.uniform(0.0, 10.0, size=(200, d))
         target = rng.uniform(0.0, 10.0, size=(100, d))
         pairs = ((query[:, None, :] - target[None, :, :]) ** 2).sum(axis=2)
-        rows, cols, d2 = sim_module._near_pairs(query, target, reach, 10.0)
+        # one run of 300 points: the queries in rows 0-199, the targets after
+        points = np.vstack([query, target])
+        rows, cols, d2 = sim_module._near_pairs(
+            points, np.arange(200), np.arange(200, 300), reach, 10.0, 300
+        )
+        cols = cols - 200
         within = pairs <= reach**2
         assert within.any()
         assert sorted(zip(rows.tolist(), cols.tolist())) == list(zip(*within.nonzero()))
@@ -648,6 +653,63 @@ class TestFlood:
             advance(w)
         assert len(hit_steps) > 2
         assert set(hit_steps) - set(queried)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_near_pairs_keeps_runs_apart(self, d):
+        # a query over three runs of n rows returns exactly each run's own
+        # query, pairs and d2 floats alike; run 1's points are run 0's, so
+        # every point of run 1 coincides with one of run 0
+        rng = np.random.default_rng(10 + d)
+        n, length, reach = 60, 6.0, 1.5
+        first = rng.uniform(0.0, length, size=(n, d))
+        points = np.vstack([first, first, rng.uniform(0.0, length, size=(n, d))])
+        split = rng.random(3 * n) < 0.3
+        query, target = (~split).nonzero()[0], split.nonzero()[0]
+        stacked = sim_module._near_pairs(points, query, target, reach, length, n)
+        want = [], [], []
+        for k in range(3):
+            rows = slice(k * n, (k + 1) * n)
+            near, far, d2 = sim_module._near_pairs(
+                points[rows], (~split[rows]).nonzero()[0], split[rows].nonzero()[0],
+                reach, length, n,
+            )
+            assert len(d2)
+            want[0].append(near + k * n)
+            want[1].append(far + k * n)
+            want[2].append(d2)
+        for got, parts in zip(stacked, want):
+            np.testing.assert_array_equal(got, np.concatenate(parts))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_stack_flood_keeps_runs_apart(self, d):
+        # run 0 infects a chain along axis 0 in one flood, three levels
+        # deep; run 1's unreached nodes sit on exactly those positions, out
+        # of range of run 1's source but within the query's reach of it, so
+        # the query compares them; no run-1 node may be infected, and run 0
+        # must get the records it gets alone
+        cfg = SimConfig(d=d, box_length=10.0, n=5, v=1.0, tau=0.0)
+        chain = np.full((5, d), 5.0)
+        chain[:, 0] = [2.0, 2.9, 3.8, 4.7, 9.0]
+        alone = init_world(cfg)
+        alone.positions[:] = chain
+        alone.source_origin = chain[0].copy()
+        worlds = [init_world(cfg), init_world(replace(cfg, seed=1))]
+        worlds[0].positions[:] = chain
+        worlds[0].source_origin = chain[0].copy()
+        worlds[1].positions[:] = np.vstack([chain[:1] - 1.5 * np.eye(d)[:1], chain[:4]])
+        worlds[1].source_origin = worlds[1].positions[0].copy()
+        stack = sim_module._stack(worlds)
+        records = flood(stack)
+        assert records == flood(alone)
+        assert [r.node_id for r in records] == [1, 2, 3]
+        assert worlds[1].infected.tolist() == [True] + [False] * 4
+        # later floods of the stack, answered from its watch, agree too
+        for _ in range(3):
+            advance(stack)
+            advance(alone)
+            assert flood(stack) == flood(alone)
+        assert worlds[1].infected.tolist() == [True] + [False] * 4
+
 
 class TestRunEpidemic:
     def test_initially_connected_pair(self):
@@ -888,6 +950,32 @@ class TestRunEpidemic:
         assert [r.node_id for r in records[:2]] == [0, 2]
         assert records[1].infection_time == pytest.approx(0.05 * contact_step)
 
+    @pytest.mark.parametrize("delay", range(1, sim_module._HORIZON_STEPS + 1))
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_second_contact_right_after_a_first(self, d, delay, monkeypatch):
+        # node 1 closes head-on on the source and is reached at step 3;
+        # node 2 runs beside the source, just out of its range, and comes
+        # within range of node 1 `delay` steps later: the horizon a contact
+        # sets must not skip that flood.  Along axis 0, node 1 is 0.95
+        # ahead of the source at step 3 and node 2 is `ahead`; off axis 0,
+        # node 2 is `side` away, so node 1 reaches it when their gap along
+        # axis 0 is at most 0.1 (r = 1), half a step before `delay`.
+        ahead = 0.95 - 0.1 * delay
+        side = math.sqrt(1.0 - 0.05**2)
+        heading = np.eye(d)[0]
+        source = np.full(d, 3.0)
+        beside = source + ahead * heading
+        beside[1] += side
+        positions = np.array([source, source + (1.25 * heading), beside])
+        place_nodes(monkeypatch, positions, np.array([heading, -heading, heading]))
+        cfg = SimConfig(d=d, box_length=10.0, n=3, v=1.0, tau=0.0, dt=0.05, t_max=2.0)
+        records = run_epidemic(cfg)[0]
+        assert records == every_step_run(cfg)
+        assert records == every_step_run(cfg, flood_step=dense_flood)
+        assert [r.node_id for r in records] == [0, 1, 2]
+        assert records[1].infection_time == pytest.approx(0.05 * 3)
+        assert records[2].infection_time == pytest.approx(0.05 * (3 + delay))
+
     def test_refinement_shifts_times_by_at_most_coarse_steps(self):
         cfg = small_config(n=25, box_length=8.0, t_max=60.0, dt=0.08, seed=2)
         fine = small_config(n=25, box_length=8.0, t_max=60.0, dt=0.02, seed=2)
@@ -967,6 +1055,31 @@ class TestLockstep:
         for k, records in enumerate(batch):
             assert run_epidemic(replace(cfg, seed=3 + k)) == [records]
         assert len({len(records) for records in batch}) > 1
+
+    def test_batch_floods_fewer_times_than_its_seeds_alone(self, monkeypatch):
+        # one flood per step serves every run of the batch, so a 6-seed
+        # batch floods and queries less often than its seeds run one by one
+        calls = {"flood": 0, "query": 0}
+        real_flood, near_pairs = sim_module.flood, sim_module._near_pairs
+
+        def counted_flood(world):
+            calls["flood"] += 1
+            return real_flood(world)
+
+        def counted_near_pairs(*args):
+            calls["query"] += 1
+            return near_pairs(*args)
+
+        monkeypatch.setattr(sim_module, "flood", counted_flood)
+        monkeypatch.setattr(sim_module, "_near_pairs", counted_near_pairs)
+        cfg = SimConfig(d=2, box_length=20.0, n=30, v=1.0, tau=0.1, t_max=100.0, seed=2)
+        batch = run_epidemic(cfg, runs=6)
+        in_batch = dict(calls)
+        calls.update(flood=0, query=0)
+        alone = [run_epidemic(replace(cfg, seed=seed))[0] for seed in range(2, 8)]
+        assert batch == alone
+        assert in_batch["flood"] < calls["flood"]
+        assert in_batch["query"] < calls["query"]
 
     @pytest.mark.parametrize("runs", [0, -1, 1.5, True, "2"])
     def test_bad_run_count_refused(self, runs):
