@@ -139,10 +139,10 @@ def _apply_config_file(args, parser):
     kinds = {a.dest: a.type for a in parser.commands[args.command]._actions}
     for key, value in doc.items():
         dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+        if dest not in kinds or not hasattr(args, dest):
             raise UsageError(f"unknown config key {key!r}")
         if getattr(args, dest) is None:
-            setattr(args, dest, _config_value(key, value, kinds.get(dest)))
+            setattr(args, dest, _config_value(key, value, kinds[dest]))
 
 
 def _required(args, names):
@@ -231,7 +231,8 @@ def _sim_kwargs(args):
         dt=args.dt,
         t_max=args.tmax,
     )
-    SimConfig(**kwargs)  # refuse a bad configuration before any output
+    # refuse a bad configuration before any output
+    SimConfig(**kwargs, seed=args.seed)
     return kwargs
 
 

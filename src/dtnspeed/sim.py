@@ -29,10 +29,10 @@ records do not depend on the grid, the watch or the horizon.
 stacks their runs: rows k*n .. k*n+n-1 of every per-node array are run
 k, and source_origin has one row per run.  A plain World is a stack of
 one.  One `advance` moves every run and one `flood` floods every run:
-its grid query gives each run its own block of cells, so nodes of
-different runs are never compared, and it returns records keyed by stack
-row.  Each run's World holds row views of the stack, so code that moves
-or infects nodes writes those arrays only in place, never rebinding one.
+it compares nodes only with nodes of their own run, and it returns
+records keyed by stack row.  Each run's World holds row views of the
+stack, so code that moves or infects nodes writes those arrays only in
+place, never rebinding one.
 
 The module does no I/O: `cli.write_records` writes the records as CSV.
 """
@@ -102,6 +102,8 @@ class SimConfig:
             )
         if not 0.0 < self.t_max < math.inf:
             problems.append(f"t_max must be finite and > 0, got {self.t_max}")
+        if not _is_int(self.seed) or not self.seed >= 0:
+            problems.append(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.source_placement not in (CENTER, UNIFORM_RANDOM):
             problems.append(
                 f"source_placement must be {CENTER!r} or {UNIFORM_RANDOM!r}, "
@@ -133,11 +135,11 @@ class World:
 
     config: SimConfig
     time: float
-    positions: np.ndarray        # (n, d), componentwise in [0, L]
-    directions: np.ndarray       # (n, d), unit vectors
-    next_turn_time: np.ndarray   # (n,), +inf when tau = 0
-    infected: np.ndarray         # (n,) bool, monotone; node 0 is the source
-    turn_count: np.ndarray       # (n,) int, diagnostics
+    positions: np.ndarray        # (R*n, d), componentwise in [0, L]
+    directions: np.ndarray       # (R*n, d), unit vectors
+    next_turn_time: np.ndarray   # (R*n,), +inf when tau = 0
+    infected: np.ndarray         # (R*n,) bool, monotone; row k*n is a source
+    turn_count: np.ndarray       # (R*n,) int, diagnostics
     source_origin: np.ndarray    # source position at t = 0: (d,), or (R, d)
     quiet_floods: int = 0        # next floods known to find nothing
     steps: int = 0               # advance calls so far
@@ -359,9 +361,8 @@ def _near_pairs(points, query, target, reach, box_length, n):
     left out.  Cells of different runs are never adjacent, so a run's
     candidates meet only its own targets, and the narrow phase is one
     dense block per run that has candidates."""
-    rows = cols = np.empty(0, dtype=np.intp)
     if not len(query) or not len(target):
-        return rows, cols, np.empty(0)
+        return query[:0], target[:0], np.empty(0)
     d = points.shape[1]
     runs = len(points) // n
     cells = int(box_length / (reach * (1.0 + _CELL_MARGIN)))
@@ -377,22 +378,31 @@ def _near_pairs(points, query, target, reach, box_length, n):
     query_ids, target_ids = ids[query], ids[target]
     candidates = query[_dilated(target_ids, runs * size, strides)[query_ids]]
     if not candidates.size:
-        return rows, cols, np.empty(0)
+        return query[:0], target[:0], np.empty(0)
     nearby = target[_dilated(ids[candidates], runs * size, strides)[target_ids]]
-    # both lists ascend by row and so by run; the narrow phase is one
-    # block per run that has candidates, and such a run has nearby targets
-    bounds = np.arange(n, runs * n, n)
-    near_cuts = [0, *np.searchsorted(candidates, bounds).tolist(), len(candidates)]
-    far_cuts = [0, *np.searchsorted(nearby, bounds).tolist(), len(nearby)]
+    # a run with candidates has nearby targets, so there is at least one part
+    rows, cols, d2 = zip(*_run_pairs(points, candidates, nearby, reach, n))
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(d2)
+
+
+def _run_pairs(points, near, far, reach, n):
+    """Every (near row, far row) pair of one run with ((a-b)**2).sum() <=
+    reach**2, as a list of (near rows, far rows, d2) triples, one for each
+    run with rows in both lists.  near and far are ascending rows of
+    `points`, which holds runs of n rows each, so searchsorted cuts each
+    list into runs, and each run is one dense `_pair_d2` block of its own
+    rows.  The callers concatenate the parts once, not once per call."""
+    bounds = np.arange(n, len(points), n)
+    near_cuts = [0, *np.searchsorted(near, bounds).tolist(), len(near)]
+    far_cuts = [0, *np.searchsorted(far, bounds).tolist(), len(far)]
     parts = []
     for a, b, c, e in zip(near_cuts, near_cuts[1:], far_cuts, far_cuts[1:]):
-        if a < b:
-            near, far = candidates[a:b], nearby[c:e]
-            d2 = _pair_d2(points[near].T[..., None], points[far].T)
+        if a < b and c < e:
+            block_near, block_far = near[a:b], far[c:e]
+            d2 = _pair_d2(points[block_near].T[..., None], points[block_far].T)
             rows, cols = (d2 <= reach**2).nonzero()
-            parts.append((near[rows], far[cols], d2[rows, cols]))
-    rows, cols, d2 = zip(*parts)
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(d2)
+            parts.append((block_near[rows], block_far[cols], d2[rows, cols]))
+    return parts
 
 
 # Most floods a horizon may skip after one flood that found nothing, and
@@ -429,12 +439,14 @@ def flood(world):
     Level 1 comes from unreached-infected pairs within the reach R > r of
     the linked-cell query `_near_pairs`, which serves every run of the
     stack at once, or from the watch list below, so a call is O(n) array
-    work when nodes are sparse.  Each later level runs per run with a
-    contact, on that run's rows: it compares the nodes still unreached
-    with the nodes reached last, with `_pair_d2`.  Below the threshold
-    that level is a few nodes, and at worst it holds unreached x frontier
-    floats, no more than the n x n block a grid query compares when every
-    node of a run shares one cell.
+    work when nodes are sparse.  Each later level is one compare of the
+    whole stack, the nodes still unreached against the nodes reached
+    last, by `_run_pairs`, the narrow phase of the grid query: each run's
+    rows meet only its own, so only a run whose wave goes on compares
+    anything.  Below the threshold that level is a few nodes, and at
+    worst a run's block holds unreached x frontier floats, no more than
+    the n x n block a grid query compares when every node of a run shares
+    one cell.
 
     A node moves at speed v along a continuous path: a turn splits the
     path without lengthening it, and a wall fold is 1-Lipschitz on each
@@ -487,63 +499,36 @@ def flood(world):
         infected = world.infected.nonzero()[0]
         pair_u, pair_i, d2 = _near_pairs(pos, unreached, infected, reach, length, n)
         world.watch = (pair_u, pair_i, taken)
+    records = []
     least = d2.min(initial=math.inf)
-    if least > r**2:
-        records = []
-    else:
-        records, least = _spread(world, pair_u, pair_i, d2, taken, reach)
+    if least <= r**2:
+        reached = np.zeros(len(pos), dtype=bool)
+        reached[pair_u[d2 <= r**2]] = True
+        frontier = reached.nonzero()[0]
+        unreached = (~(world.infected | reached)).nonzero()[0]
+        levels = [(pair_u, pair_i, d2)]
+        while frontier.size and unreached.size:
+            level = _run_pairs(pos, unreached, frontier, reach, n)
+            for near, _, close in level:
+                # pairs within r are within reach R > r, so among the close ones
+                reached[near[close <= r**2]] = True
+            levels += level
+            hit = reached[unreached]
+            frontier, unreached = unreached[hit], unreached[~hit]
+        pair_u, pair_i, d2 = map(np.concatenate, zip(*levels))
+        kept = ~reached[pair_u]
+        world.watch = (pair_u[kept], pair_i[kept], taken)
+        least = d2.min(initial=math.inf, where=kept)
+        # the distance is np.linalg.norm's float: the square root of the dot
+        origins = world.source_origin.reshape(-1, pos.shape[1])
+        for i in reached.nonzero()[0].tolist():
+            world.infected[i] = True
+            delta = pos[i] - origins[i // n]
+            records.append(InfectionRecord(i, world.time, math.sqrt(delta.dot(delta))))
     gap = min(math.sqrt(least), outer) - r - slack
     if gap >= 0.0:
         world.quiet_floods = min(_HORIZON_STEPS, int(gap / (hop * (1.0 + 1e-9))))
     return records
-
-
-def _spread(world, pair_u, pair_i, d2, taken, reach):
-    """The rest of a flood whose level-1 pairs (pair_u, pair_i, d2) show a
-    contact: the search on the rows of each run with a contact, the watch
-    it leaves, and the records.  Returns the records and the least d2 of
-    the pairs that watch keeps."""
-    config = world.config
-    n, r = config.n, config.radio_range
-    pos, infected = world.positions, world.infected
-    hits = pair_u[d2 <= r**2]
-    reached = np.zeros(len(pos), dtype=bool)
-    reached[hits] = True
-    free = ~(infected | reached)
-    watch_u, watch_i, watch_d2 = [pair_u], [pair_i], [d2]
-    for k in sorted({i // n for i in hits.tolist()}):
-        # the search runs on run k's rows, numbered from 0 within the run
-        rows = slice(k * n, k * n + n)
-        run_pos, run_reached = pos[rows], reached[rows]
-        frontier = run_reached.nonzero()[0]
-        unreached = free[rows].nonzero()[0]
-        while frontier.size and unreached.size:
-            d2 = _pair_d2(run_pos[unreached].T[..., None], run_pos[frontier].T)
-            near, far = (d2 <= reach**2).nonzero()
-            close = d2[near, far]
-            watch_u.append(unreached[near] + k * n)
-            watch_i.append(frontier[far] + k * n)
-            watch_d2.append(close)
-            # pairs within r are within reach R > r, so among the close ones
-            hit = np.zeros(len(unreached), dtype=bool)
-            hit[near[close <= r**2]] = True
-            frontier = unreached.compress(hit)
-            run_reached[frontier] = True
-            unreached = unreached.compress(~hit)
-    pair_u, pair_i = np.concatenate(watch_u), np.concatenate(watch_i)
-    kept = ~reached[pair_u]
-    world.watch = (pair_u[kept], pair_i[kept], taken)
-    least = np.concatenate(watch_d2).min(initial=math.inf, where=kept)
-
-    # the distance is np.linalg.norm's float: the square root of the dot
-    now = world.time
-    origins = world.source_origin.reshape(-1, pos.shape[1])
-    records = []
-    for i in reached.nonzero()[0].tolist():
-        infected[i] = True
-        delta = pos[i] - origins[i // n]
-        records.append(InfectionRecord(i, now, math.sqrt(delta.dot(delta))))
-    return records, least
 
 
 def _stack(worlds):

@@ -236,6 +236,20 @@ class TestSimulate:
         assert "--runs must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_negative_seed_is_refused_before_any_output(self, command, tmp_path, capsys):
+        # a typed error and exit 2, not numpy's traceback, and no CSV
+        out = tmp_path / "x.csv"
+        code = run_cli(
+            command, "--dim", "2", "--L", "10", "--n", "5", "--v", "1",
+            "--tau", "0", "--seed", "-1", "--out", str(out),
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: seed must be an integer >= 0, got -1\n"
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestCompare:
     ARGS = (
@@ -303,10 +317,16 @@ class TestConfigFile:
         assert run_cli("bound", "--config", str(path), "--nu", "0.05") == 0
         assert "finite" in capsys.readouterr().out
 
-    def test_unknown_key(self, tmp_path):
+    def test_unknown_key(self, tmp_path, capsys):
+        # a key that is no flag of the chosen command is refused, the
+        # top-level `command` included: it would not switch the command
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"bogus": 1}))
-        assert run_cli("bound", "--config", str(path)) == 1
+        for key, value in [("bogus", 1), ("command", "sweep")]:
+            path.write_text(json.dumps({key: value}))
+            assert run_cli("bound", "--config", str(path)) == 1
+            captured = capsys.readouterr()
+            assert captured.err == f"usage error: unknown config key {key!r}\n"
+            assert captured.out == ""
 
     @pytest.mark.parametrize(
         "text,message",

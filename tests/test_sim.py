@@ -199,6 +199,13 @@ class TestSimConfig:
             small_config(**{name: value})
         small_config(**{name: np.int64(2)})  # numpy integers are integers
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, None, "3"])
+    def test_rejects_a_seed_that_is_not_a_count(self, seed):
+        with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
+            small_config(seed=seed)
+        small_config(seed=0)
+        small_config(seed=np.int64(3))  # numpy integers are integers
+
     def test_contact_miss_guard(self):
         with pytest.raises(ConfigError):
             small_config(dt=0.2)
@@ -709,6 +716,54 @@ class TestFlood:
             advance(alone)
             assert flood(stack) == flood(alone)
         assert worlds[1].infected.tolist() == [True] + [False] * 4
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_stack_flood_searches_runs_to_their_own_depths(self, d):
+        # one flood of four runs along axis 0, with r = 1: run 0's wave is
+        # three levels deep, run 1's two, run 2's four, which infects its
+        # last node, and run 3 has nodes within the query's reach but none
+        # in range; every run gets the records and the infected nodes it
+        # gets flooded alone, and so do the next floods, which its watch
+        # answers without a grid query
+        cfg = SimConfig(d=d, box_length=10.0, n=5, v=1.0, tau=0.0)
+        chains = [
+            [2.0, 2.9, 3.8, 4.7, 9.0],
+            [2.0, 2.9, 3.8, 6.0, 8.0],
+            [2.0, 2.9, 3.8, 4.7, 5.6],
+            [2.0, 3.5, 5.0, 6.5, 8.0],
+        ]
+
+        def placed(seed, xs):
+            world = init_world(replace(cfg, seed=seed))
+            world.positions[:] = 5.0
+            world.positions[:, 0] = xs
+            world.source_origin = world.positions[0].copy()
+            return world
+
+        alone = [placed(k, xs) for k, xs in enumerate(chains)]
+        stack = sim_module._stack([placed(k, xs) for k, xs in enumerate(chains)])
+
+        def by_run(records):
+            runs = [[] for _ in chains]
+            for rec in records:
+                k, node = divmod(rec.node_id, cfg.n)
+                runs[k].append(replace(rec, node_id=node))
+            return runs
+
+        for step in range(5):
+            if step:
+                for world in [stack, *alone]:
+                    advance(world)
+            records = by_run(flood(stack))
+            if not step:
+                assert [[rec.node_id for rec in recs] for recs in records] == [
+                    [1, 2, 3], [1, 2], [1, 2, 3, 4], []
+                ]
+            assert records == [flood(world) for world in alone]
+            assert np.array_equal(
+                stack.infected, np.concatenate([w.infected for w in alone])
+            )
+        assert stack.watch[2] == 0
 
 
 class TestRunEpidemic:
