@@ -10,7 +10,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .kernel import (
     BoundStatus,
@@ -139,7 +138,8 @@ def _apply_config_file(args, parser):
     kinds = {a.dest: a.type for a in parser.commands[args.command]._actions}
     for key, value in doc.items():
         dest = key.replace("-", "_")
-        if dest not in kinds or not hasattr(args, dest):
+        # a config file cannot name another one
+        if dest == "config" or dest not in kinds or not hasattr(args, dest):
             raise UsageError(f"unknown config key {key!r}")
         if getattr(args, dest) is None:
             setattr(args, dest, _config_value(key, value, kinds[dest]))
@@ -184,6 +184,9 @@ def _run_many(config_kwargs, first_seed, runs):
     if workers == 1:
         batches = list(map(_run_batch, *chunks))
     else:
+        # imported here: multiprocessing is a cost every command would pay
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(_run_batch, *chunks))
     records = [recs for batch in batches for recs in batch]

@@ -13,6 +13,7 @@ bound or raises DomainError, also where double precision runs out.
 """
 
 import enum
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -276,12 +277,28 @@ def _ratio_grid(params, rho):
         return np.where(denom <= 0.0, math.inf, theta / rho)
 
 
+@functools.lru_cache(maxsize=8)
+def _scan_powers(step):
+    """step**i for i < _SCAN_POINTS, read-only.  Python's pow, not
+    numpy's: like its transcendentals (`_map`), numpy's pow may differ by
+    an ulp across CPUs."""
+    powers = np.array([step**i for i in range(_SCAN_POINTS)])
+    powers.flags.writeable = False
+    return powers
+
+
 def _scan_grid(rho_star):
-    """The 2000-point log grid over (1e-6*rho_star, _POLE_CLIP*rho_star)."""
+    """The 2000-point log grid over (1e-6*rho_star, _POLE_CLIP*rho_star):
+    lo times the powers of the step, one array multiply per bound.
+
+    The step, (hi/lo)**(1/1999), is the same float for nearly every
+    rho_star (a subnormal one differs), so its powers are taken once and
+    cached.  Each point is one IEEE multiply, the same float as the
+    scalar lo * step**i; the returned array is a fresh one."""
     lo = 1e-6 * rho_star
     hi = _POLE_CLIP * rho_star
     step = (hi / lo) ** (1.0 / (_SCAN_POINTS - 1))
-    return [lo * step**i for i in range(_SCAN_POINTS)]
+    return lo * _scan_powers(step)
 
 
 def _minimize_ratio(params, rho_star):
@@ -289,8 +306,10 @@ def _minimize_ratio(params, rho_star):
     golden-section refinement of the best bracket.
 
     The scan guards against the (unproven) possibility of multiple local
-    minima.  It is one array pass (`_ratio_grid`), bit-identical to
-    evaluating theta_of_rho point by point; the refinement is scalar.
+    minima.  The grid is one array (`_scan_grid`: cached powers of the
+    step times lo), and the scan is one array pass over it (`_ratio_grid`),
+    bit-identical to evaluating theta_of_rho point by point; the
+    refinement is scalar.
     The left edge 1e-6*rho_star can lie above the argmin (tau > 0 and
     small nu), so a best point on that edge is refined on (0, grid[1]).
     """
@@ -303,12 +322,12 @@ def _minimize_ratio(params, rho_star):
             return math.inf
 
     grid = _scan_grid(rho_star)
-    values = _ratio_grid(params, np.array(grid))
+    values = _ratio_grid(params, grid)
     # theta is NaN where rho*v and A(rho) both overflow (D=3, huge v);
     # like min() over the scalar values, the scan never picks such a point
     i = int(np.argmin(np.where(np.isnan(values), math.inf, values)))
-    left = grid[i - 1] if i else 0.0
-    right = grid[min(i + 1, _SCAN_POINTS - 1)]
+    left = float(grid[i - 1]) if i else 0.0
+    right = float(grid[min(i + 1, _SCAN_POINTS - 1)])
     return _golden_min(ratio, left, right, 1e-10)
 
 

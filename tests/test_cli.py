@@ -321,8 +321,11 @@ class TestConfigFile:
         # a key that is no flag of the chosen command is refused, the
         # top-level `command` included: it would not switch the command
         path = tmp_path / "cfg.json"
-        for key, value in [("bogus", 1), ("command", "sweep")]:
-            path.write_text(json.dumps({key: value}))
+        # and `config`: a config file cannot name another one
+        for key, value in [("bogus", 1), ("command", "sweep"),
+                           ("config", "/nonexistent.json")]:
+            doc = {key: value, "dim": 2, "nu": 0.1, "v": 1, "tau": 0}
+            path.write_text(json.dumps(doc))
             assert run_cli("bound", "--config", str(path)) == 1
             captured = capsys.readouterr()
             assert captured.err == f"usage error: unknown config key {key!r}\n"
@@ -388,6 +391,12 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "finite" in proc.stdout
 
+    def test_import_leaves_out_the_process_pool(self):
+        # multiprocessing is imported only when a command runs in workers
+        code = ("import sys, dtnspeed.cli; "
+                "sys.exit('concurrent.futures.process' in sys.modules)")
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
     @pytest.mark.parametrize(
         "threads,runs,pool_size,chunks",
         [
@@ -421,7 +430,7 @@ class TestEntryPoint:
             batches.append((config.seed, runs))
             return run_epidemic(config, runs)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(cli, "run_epidemic", batch)
         monkeypatch.setenv("DTN_SPEED_THREADS", threads)
         kwargs = dict(d=2, box_length=12.0, n=15, v=1.0, tau=0.0, t_max=20.0)

@@ -423,6 +423,27 @@ class TestRatioScan:
             cases += 1
         assert cases >= 360
 
+    def test_grid_is_the_per_point_powers(self):
+        # the cached powers times lo are, bit for bit, the grid taken one
+        # Python pow per point; the subnormal 1e-310 has a step of its own
+        def per_point(rho_star):
+            lo = 1e-6 * rho_star
+            step = (_POLE_CLIP * rho_star / lo) ** (1.0 / (_SCAN_POINTS - 1))
+            return np.array([lo * step**i for i in range(_SCAN_POINTS)])
+
+        for rho_star in [*np.geomspace(1e-300, 700.0, 10_000).tolist(), 1e-310]:
+            grid = _scan_grid(rho_star)
+            expected = per_point(rho_star)
+            assert grid.dtype == np.float64
+            assert np.array_equal(grid.view(np.int64), expected.view(np.int64)), rho_star
+
+    def test_grid_is_a_fresh_array(self):
+        # writing into one grid cannot reach the cached powers behind it
+        first = _scan_grid(3.0)
+        expected = first.copy()
+        first[:] = -1.0
+        assert np.array_equal(_scan_grid(3.0), expected)
+
     def test_overflowing_points_are_never_the_argmin(self):
         # rho*v and A(rho) overflow on the right of the grid, where theta
         # is NaN; the bound is the one at the finite points
