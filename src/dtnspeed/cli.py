@@ -281,10 +281,16 @@ def _parse_nu_grid(args):
             raise UsageError("nu-grid must hold at least one density")
         return grid
     _required(args, ["nu_min", "nu_max", "nu_points"])
-    if args.nu_min <= 0 or args.nu_max <= args.nu_min or args.nu_points < 2:
-        raise UsageError("need 0 < nu-min < nu-max and nu-points >= 2")
-    ratio = (args.nu_max / args.nu_min) ** (1.0 / (args.nu_points - 1))
-    return [args.nu_min * ratio**i for i in range(args.nu_points)]
+    # written so that NaN fails it; a ratio that overflows would put inf
+    # in the grid
+    lo, hi = args.nu_min, args.nu_max
+    if not (0.0 < lo < hi < math.inf and hi / lo < math.inf) or args.nu_points < 2:
+        raise UsageError(
+            "need 0 < nu-min < nu-max < inf with a finite nu-max/nu-min, "
+            "and nu-points >= 2"
+        )
+    ratio = (hi / lo) ** (1.0 / (args.nu_points - 1))
+    return [lo * ratio**i for i in range(args.nu_points)]
 
 
 def _csv_field(x):

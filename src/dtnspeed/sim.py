@@ -20,10 +20,11 @@ look only at those pairs: an empty flood returns from them, and a flood
 with a contact takes its first wave from them and follows the rest of
 the wave from the new nodes alone.  A flood also bounds, from the
 distance between the infected and the unreached nodes and the speed
-bound v, how many of the next floods must find nothing, and
-`run_epidemic` skips them.  Every range decision is the same float
-comparison as the dense one, and a skipped flood is an empty one, so
-records do not depend on the grid, the watch or the horizon.
+bound v, the first step at which a pair can come within range, and a
+flood at an earlier step returns nothing at once.  Every range decision
+is the same float comparison as the dense one, and a flood the horizon
+cuts short is an empty one, so records do not depend on the grid, the
+watch or the horizon.
 
 `run_epidemic` runs the seeds of a batch in lockstep, as one World that
 stacks their runs: rows k*n .. k*n+n-1 of every per-node array are run
@@ -141,11 +142,11 @@ class World:
     infected: np.ndarray         # (R*n,) bool, monotone; row k*n is a source
     turn_count: np.ndarray       # (R*n,) int, diagnostics
     source_origin: np.ndarray    # source position at t = 0: (d,), or (R, d)
-    quiet_floods: int = 0        # next floods known to find nothing
     steps: int = 0               # advance calls so far
-    # (unreached rows, infected rows, steps): the pairs flood watches, and
+    # (unreached rows, infected rows, taken, due): the pairs flood watches,
     # the step from which they hold every pair that could be within its
-    # query's reach; it holds while only advance moves nodes and only
+    # query's reach, and the first step at which a pair can be in range
+    # (the gap horizon); it holds while only advance moves nodes and only
     # flood infects them, so code that edits either by hand sets it to None
     watch: Optional[tuple] = None
     node_rngs: List[np.random.Generator] = field(repr=False, default_factory=list)
@@ -405,8 +406,8 @@ def _run_pairs(points, near, far, reach, n):
     return parts
 
 
-# Most floods a horizon may skip after one flood that found nothing, and
-# the steps a watch list lives.  A longer horizon widens the query's reach
+# Most steps a gap horizon may skip after a flood, and the steps a watch
+# list lives.  A longer horizon widens the query's reach
 # and so its candidate block and watch list.  Median perfbench pass_s over
 # seeds 0-3 (2-core x86-64): figure 3.01 / 2.72 / 2.65 s and large-n 0.90
 # / 0.89 / 1.02 s at 4 / 8 / 16.
@@ -467,20 +468,20 @@ def flood(world):
       grid query.  Only a flood whose watch has expired, or the first
       one, runs the query, and its pairs make a new watch.  A stack has
       one watch for all its runs.
-    - Gap horizon.  A flood also sets world.quiet_floods to how many of
-      the next floods provably find nothing (every flood resets it to 0
-      first).  gap = min(sqrt(least watched d2), outer) - r - 1e-9*L
-      bounds how far every unreached-infected pair of every run is from
-      contact, with outer = R on a flood that ran the query, and after a
-      contact the watch it keeps.  Every pair stays out of range for k
-      steps with k*h < gap, so the next min(K, k) floods find nothing,
-      and `run_epidemic` skips them.  R = r + h*(K+1), with
-      K = _HORIZON_STEPS.
+    - Gap horizon.  A flood also stores in the watch the step `due`
+      before which no flood can find a contact, and a flood at an
+      earlier step returns [] at once.  gap = min(sqrt(least watched
+      d2), outer) - r - 1e-9*L bounds how far every unreached-infected
+      pair of every run is from contact, with outer = R on a flood that
+      ran the query, and after a contact the watch it keeps.  Every pair
+      stays out of range for k steps with k*h < gap, so due = steps + 1
+      + min(K, k), or steps + 1 when gap < 0.  R = r + h*(K+1), with
+      K = _HORIZON_STEPS.  The horizon counts steps, not floods, so a
+      caller may advance any number of steps between floods.
 
-    Skipped and watched floods are exactly the empty ones, and a watched
-    contact reaches the nodes a query would, so the records and the
-    trajectories stay as they are."""
-    world.quiet_floods = 0
+    Floods cut short by the horizon and watched floods are exactly the
+    empty ones, and a watched contact reaches the nodes a query would,
+    so the records and the trajectories stay as they are."""
     config = world.config
     n, r, length = config.n, config.radio_range, config.box_length
     slack = 1e-9 * length
@@ -489,7 +490,9 @@ def flood(world):
 
     outer = -math.inf
     if world.watch is not None:
-        pair_u, pair_i, taken = world.watch
+        pair_u, pair_i, taken, due = world.watch
+        if world.steps < due:
+            return []
         outer = reach - (world.steps - taken) * hop
     if outer - r - slack >= 0.0:
         d2 = _pair_d2(pos[pair_u].T, pos[pair_i].T)
@@ -498,7 +501,6 @@ def flood(world):
         unreached = (~world.infected).nonzero()[0]
         infected = world.infected.nonzero()[0]
         pair_u, pair_i, d2 = _near_pairs(pos, unreached, infected, reach, length, n)
-        world.watch = (pair_u, pair_i, taken)
     records = []
     least = d2.min(initial=math.inf)
     if least <= r**2:
@@ -517,8 +519,8 @@ def flood(world):
             frontier, unreached = unreached[hit], unreached[~hit]
         pair_u, pair_i, d2 = map(np.concatenate, zip(*levels))
         kept = ~reached[pair_u]
-        world.watch = (pair_u[kept], pair_i[kept], taken)
         least = d2.min(initial=math.inf, where=kept)
+        pair_u, pair_i = pair_u[kept], pair_i[kept]
         # the distance is np.linalg.norm's float: the square root of the dot
         origins = world.source_origin.reshape(-1, pos.shape[1])
         for i in reached.nonzero()[0].tolist():
@@ -526,8 +528,10 @@ def flood(world):
             delta = pos[i] - origins[i // n]
             records.append(InfectionRecord(i, world.time, math.sqrt(delta.dot(delta))))
     gap = min(math.sqrt(least), outer) - r - slack
+    due = world.steps + 1
     if gap >= 0.0:
-        world.quiet_floods = min(_HORIZON_STEPS, int(gap / (hop * (1.0 + 1e-9))))
+        due += min(_HORIZON_STEPS, int(gap / (hop * (1.0 + 1e-9))))
+    world.watch = (pair_u, pair_i, taken, due)
     return records
 
 
@@ -537,7 +541,13 @@ def _stack(worlds):
     of them, so that one `advance` or `flood` of the stack moves or floods
     every world.  The worlds share their config apart from the seed, and
     so their clock.  source_origin holds one row per world; the stack
-    starts with no watch and no horizon."""
+    starts with no watch, and so with no gap horizon: its first flood
+    runs a grid query.
+
+    The row views must stay although only the stack is stepped: they
+    keep each World that `init_world` returned up to date, and callers
+    read those Worlds after the run (perfbench's traced layers count
+    node steps and turns from them)."""
     first = worlds[0]
     stack = World(
         config=first.config,
@@ -584,8 +594,8 @@ def _run_lockstep(config, seeds):
     ]
     results = [records for _, records in live]
     stack = _stack([world for world, _ in live])
-    wave = flood(stack)
     while True:
+        wave = flood(stack)
         if wave:
             for record in wave:
                 k, node = divmod(record.node_id, n)
@@ -603,11 +613,6 @@ def _run_lockstep(config, seeds):
         if not _within_t_max(stack.time + config.dt, config):
             break
         advance(stack)
-        if stack.quiet_floods:
-            stack.quiet_floods -= 1
-            wave = []
-        else:
-            wave = flood(stack)
     for world, _ in live:
         world.time, world.steps = stack.time, stack.steps
     return results
@@ -618,13 +623,13 @@ def run_epidemic(config, runs=1):
     lockstep batches of at most _LOCKSTEP_RUNS seeds; returns one record
     list per seed, in seed order.
 
-    Each run is init, flood at t = 0, then advance every step until t_max
-    or total infection, flooding after each step unless an earlier flood
-    set `world.quiet_floods`.  Skipped floods are exactly the empty ones,
-    so the records equal those of a flood on every step.  The runs of a
-    batch share their clock, so they are stacked into one World (`_stack`)
-    and each step makes one `advance` and at most one `flood` of the
-    stack, whose records are mapped from stack rows back to (run, node).
+    Each run is init, flood at t = 0, then advance and flood every step
+    until t_max or total infection.  A flood before the step its gap
+    horizon allows returns nothing at once, and such floods are exactly
+    the empty ones.  The runs of a batch share their clock, so they are
+    stacked into one World (`_stack`) and each step makes one `advance`
+    and one `flood` of the stack, whose records are mapped from stack
+    rows back to (run, node).
     A run leaves the stack when a flood infects its last node: its World
     is released, and the stack is rebuilt from the others.  Every node
     keeps its own RNG stream, every float operation is elementwise, and

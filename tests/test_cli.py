@@ -170,6 +170,23 @@ class TestSweep:
         code = run_cli(*self.SWEEP, "--config", str(path))
         self.assert_nu_grid_usage_error(code, capsys)
 
+    @pytest.mark.parametrize(
+        "nu_min,nu_max",
+        [("nan", "0.1"), ("1e-3", "inf"), ("1e-3", "nan"), ("1e-10", "1e300")],
+    )
+    def test_non_finite_nu_range_is_a_usage_error(self, nu_min, nu_max, tmp_path, capsys):
+        # NaN, inf, or a range whose ratio overflows: refused before the
+        # CSV header or any row is written, to stdout or to --out
+        args = (*self.SWEEP, "--nu-min", nu_min, "--nu-max", nu_max, "--nu-points", "3")
+        out = tmp_path / "sweep.csv"
+        for extra in ((), ("--out", str(out))):
+            code = run_cli(*args, *extra)
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.err.startswith("usage error: need 0 < nu-min < nu-max < inf")
+            assert captured.out == ""
+            assert not out.exists()
+
     @pytest.mark.parametrize("dim", [1, 3])
     def test_other_dimensions_smoke(self, dim, tmp_path):
         from dtnspeed.kernel import KernelPoint, ModelParams, kernel_residual

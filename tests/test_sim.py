@@ -82,7 +82,15 @@ def dense_flood(world):
     return records
 
 
-def every_step_run(config, flood_step=flood):
+def unskipped_flood(world):
+    """`flood` with its gap horizon cleared first: the watch list is kept,
+    but the flood never returns early."""
+    if world.watch is not None:
+        world.watch = (*world.watch[:3], world.steps)
+    return flood(world)
+
+
+def every_step_run(config, flood_step=unskipped_flood):
     """Reference run: `advance` then `flood_step` on every step, with no
     horizon; `init_world` is looked up on the module so that a test's
     monkeypatched world is used here too."""
@@ -626,13 +634,15 @@ class TestFlood:
         # after every flood, every unreached-infected pair within outer =
         # R - age*h of the watch (less the rounding slack) is a watched
         # pair, checked against all pairs; watched pairs are unreached-
-        # infected, and some contacts are found from the watch alone
+        # infected, and some contacts are found from the watch alone; at
+        # every step before the horizon's due step, which the flood returns
+        # from at once, no unreached-infected pair is within r
         cfg = SimConfig(d=d, box_length=box_length, n=n, v=1.0, tau=tau,
                         dt=0.05, t_max=60.0, seed=7)
         hop, reach = sim_module._hop_reach(cfg)
         slack = 1e-9 * box_length
         w = init_world(cfg)
-        queried, hit_steps = [], []
+        queried, hit_steps, skipped = [], [], 0
         near_pairs = sim_module._near_pairs
 
         def logged_near_pairs(*args):
@@ -641,9 +651,11 @@ class TestFlood:
 
         monkeypatch.setattr(sim_module, "_near_pairs", logged_near_pairs)
         while True:
+            before = w.watch
             if flood(w):
                 hit_steps.append(w.steps)
-            pair_u, pair_i, taken = w.watch
+            pair_u, pair_i, taken, due = w.watch
+            assert due > w.steps
             assert not w.infected[pair_u].any()
             assert w.infected[pair_i].all()
             outer = reach - (w.steps - taken) * hop
@@ -655,11 +667,42 @@ class TestFlood:
             watched = set(zip(pair_u.tolist(), pair_i.tolist()))
             close = set(zip(unreached[rows].tolist(), infected[cols].tolist()))
             assert close <= watched, w.steps
+            if before is not None and w.steps < before[3]:
+                assert w.watch is before
+                assert not (d2 <= cfg.radio_range**2).any(), w.steps
+                skipped += 1
             if w.infected.all() or not sim_module._within_t_max(w.time + cfg.dt, cfg):
                 break
             advance(w)
         assert len(hit_steps) > 2
         assert set(hit_steps) - set(queried)
+        assert skipped > 0
+
+    @pytest.mark.parametrize("every", [2, 3, sim_module._HORIZON_STEPS + 1])
+    @pytest.mark.parametrize(
+        "d,box_length,n,tau", [(1, 40.0, 20, 0.5), (2, 15.0, 40, 0.2), (3, 8.0, 40, 1.0)]
+    )
+    def test_flood_every_few_steps(self, d, box_length, n, tau, every):
+        # a caller that advances `every` steps between floods: the gap
+        # horizon counts steps, not floods, so each flood reaches exactly
+        # the nodes a dense flood of the same world reaches
+        cfg = SimConfig(d=d, box_length=box_length, n=n, v=1.0, tau=tau,
+                        dt=0.05, t_max=60.0, seed=7)
+        w = init_world(cfg)
+        hits = 0
+        while True:
+            dense = replace(w, infected=w.infected.copy())
+            records = flood(w)
+            assert records == dense_flood(dense), w.steps
+            assert np.array_equal(w.infected, dense.infected)
+            hits += bool(records)
+            if w.infected.all() or not sim_module._within_t_max(
+                w.time + every * cfg.dt, cfg
+            ):
+                break
+            for _ in range(every):
+                advance(w)
+        assert hits > 2
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_near_pairs_keeps_runs_apart(self, d):
@@ -709,12 +752,15 @@ class TestFlood:
         records = flood(stack)
         assert records == flood(alone)
         assert [r.node_id for r in records] == [1, 2, 3]
+        # run 1 read through the stack, and through its World's row view
+        assert stack.infected[cfg.n:].tolist() == [True] + [False] * 4
         assert worlds[1].infected.tolist() == [True] + [False] * 4
         # later floods of the stack, answered from its watch, agree too
         for _ in range(3):
             advance(stack)
             advance(alone)
             assert flood(stack) == flood(alone)
+        assert stack.infected[cfg.n:].tolist() == [True] + [False] * 4
         assert worlds[1].infected.tolist() == [True] + [False] * 4
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -866,34 +912,47 @@ class TestRunEpidemic:
         "d,box_length,n,tau", [(1, 40.0, 20, 0.1), (2, 20.0, 40, 0.1), (3, 8.0, 30, 0.5)]
     )
     def test_flood_is_the_only_neighbour_query(self, d, box_length, n, tau, monkeypatch):
-        # every grid query happens inside a flood call, the floods that
-        # provably find nothing are still skipped, and some floods are
-        # answered by the watch list without a query
-        calls = {"flood": 0, "advance": 0, "inside": 0, "outside": 0, "watched": 0}
+        # every grid query happens inside a flood call, some floods are
+        # answered by the watch list without a query, and the floods that
+        # provably find nothing, with nodes still unreached, compare no pair
+        # at all: the gap horizon returns from them at once
+        calls = {"flood": 0, "advance": 0, "inside": 0, "outside": 0,
+                 "pair_d2": 0, "watched": 0, "skipped": 0}
         in_flood = [False]
-        near_pairs, real_flood, real_advance = (
-            sim_module._near_pairs, sim_module.flood, sim_module.advance
+        near_pairs, pair_d2, real_flood, real_advance = (
+            sim_module._near_pairs, sim_module._pair_d2, sim_module.flood,
+            sim_module.advance,
         )
 
         def counted_near_pairs(*args):
             calls["inside" if in_flood[0] else "outside"] += 1
             return near_pairs(*args)
 
+        def counted_pair_d2(*args):
+            calls["pair_d2"] += 1
+            return pair_d2(*args)
+
         def counted_flood(world):
             calls["flood"] += 1
-            inside = calls["inside"]
+            inside, compared = calls["inside"], calls["pair_d2"]
+            unreached = not world.infected.all()
             in_flood[0] = True
             try:
                 return real_flood(world)
             finally:
                 in_flood[0] = False
-                calls["watched"] += calls["inside"] == inside
+                if calls["inside"] == inside:
+                    if calls["pair_d2"] > compared:
+                        calls["watched"] += 1
+                    else:
+                        calls["skipped"] += unreached
 
         def counted_advance(world):
             calls["advance"] += 1
             return real_advance(world)
 
         monkeypatch.setattr(sim_module, "_near_pairs", counted_near_pairs)
+        monkeypatch.setattr(sim_module, "_pair_d2", counted_pair_d2)
         monkeypatch.setattr(sim_module, "flood", counted_flood)
         monkeypatch.setattr(sim_module, "advance", counted_advance)
         cfg = SimConfig(
@@ -904,7 +963,9 @@ class TestRunEpidemic:
         assert calls["outside"] == 0
         assert calls["watched"] > 0
         assert calls["inside"] > 0
-        assert calls["flood"] < calls["advance"]
+        assert calls["skipped"] > 0
+        # one flood per step, and the flood at t = 0
+        assert calls["flood"] == calls["advance"] + 1
 
     # Two nodes that close at 2*v from r + 2*v*dt*j +- 1e-12 (r = 1, v*dt
     # = 0.05), so that contact falls on the last step a horizon may skip or
