@@ -166,77 +166,71 @@ def _worker_count():
     return max(1, count)
 
 
-def _run_batch(config_kwargs, first_seed, runs):
-    config = SimConfig(**{**config_kwargs, "seed": first_seed})
-    return run_epidemic(config, runs)
-
-
-def _run_many(config_kwargs, first_seed, runs):
-    """Independent runs with seeds first_seed, first_seed+1, ...; returns
+def _run_many(config, runs, workers):
+    """Independent runs with seeds config.seed, config.seed+1, ...; returns
     (seed, records) pairs in seed order regardless of worker count.  Each
     worker runs one contiguous chunk of the seeds as one lockstep batch,
-    and `pool.map` keeps the chunks in order.  No more workers than runs:
-    the pool starts all of its processes on the first submit."""
-    workers = min(_worker_count(), runs)
-    edges = [first_seed + runs * k // workers for k in range(workers + 1)]
-    chunks = ([config_kwargs] * workers, edges[:-1],
+    `replace(config, seed=first seed of the chunk)`, and `pool.map` keeps
+    the chunks in order.  No more workers than runs: the pool starts all
+    of its processes on the first submit."""
+    workers = min(workers, runs)
+    edges = [config.seed + runs * k // workers for k in range(workers + 1)]
+    chunks = ([dataclasses.replace(config, seed=first) for first in edges[:-1]],
               [b - a for a, b in zip(edges, edges[1:])])
     if workers == 1:
-        batches = list(map(_run_batch, *chunks))
+        batches = list(map(run_epidemic, *chunks))
     else:
         # imported here: multiprocessing is a cost every command would pay
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(_run_batch, *chunks))
+            batches = list(pool.map(run_epidemic, *chunks))
     records = [recs for batch in batches for recs in batch]
-    return list(zip(range(first_seed, first_seed + runs), records))
+    return list(zip(range(config.seed, config.seed + runs), records))
 
 
-def _box_volume(args):
-    """L**dim, or a ConfigError when it is not a float (overflow, or 0.0
-    to a negative power)."""
-    try:
-        return args.L ** args.dim
-    except (OverflowError, ZeroDivisionError):
-        raise ConfigError(
-            f"box volume L**dim is out of range: L={args.L}, dim={args.dim}"
-        ) from None
-
-
-def _sim_kwargs(args):
+def _sim_config(args):
+    """The validated SimConfig of a simulate or compare command, and its
+    density n / L**dim.  Flags left unset are not passed, so SimConfig's
+    own defaults apply."""
     _required(args, ["dim", "L", "v", "tau"])
-    _defaults(args, dt=0.05, tmax=1000.0, seed=0, runs=1)
+    _defaults(args, runs=1)
     if args.runs < 1:
         raise UsageError(f"--runs must be >= 1, got {args.runs}")
     for name in ("nu", "L"):
         value = getattr(args, name)
         if value is not None and not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value}")
-    if args.range is None:
-        args.range = 1.0
+    out_of_range = ConfigError(
+        f"box volume L**dim is out of range: L={args.L}, dim={args.dim}"
+    )
+    try:
+        volume = args.L ** args.dim
+    except (OverflowError, ZeroDivisionError):  # 0.0 to a negative power
+        raise out_of_range from None
     if args.n is None:
         _required(args, ["nu"])
-        count = args.nu * _box_volume(args)
+        count = args.nu * volume
         if not math.isfinite(count):
             raise ConfigError(
                 f"node count nu*L**dim overflows: nu={args.nu}, L={args.L}, "
                 f"dim={args.dim}"
             )
         args.n = round(count)
-    kwargs = dict(
-        d=args.dim,
-        box_length=args.L,
-        n=args.n,
-        v=args.v,
-        tau=args.tau,
-        radio_range=args.range,
-        dt=args.dt,
-        t_max=args.tmax,
-    )
-    # refuse a bad configuration before any output
-    SimConfig(**kwargs, seed=args.seed)
-    return kwargs
+    fields = dict(d=args.dim, box_length=args.L, n=args.n, v=args.v, tau=args.tau,
+                  radio_range=args.range, dt=args.dt, t_max=args.tmax, seed=args.seed)
+    config = SimConfig(**{k: v for k, v in fields.items() if v is not None})
+    if volume == 0.0:  # a valid L whose volume underflows
+        raise out_of_range
+    return config, config.n / volume
+
+
+def _open_out(path):
+    """--out opened for writing, or a UsageError that says why it cannot be."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path!r}: {exc.strerror}") from None
 
 
 def _format_bound(params, bound):
@@ -321,16 +315,16 @@ def write_curve(stream, curve):
                 for b in curve.bins))
 
 
-def _write_sweep(stream, args, grid):
-    """Rows are computed as they are written, so a density that raises
-    leaves the rows before it in place."""
+def _write_sweep(stream, params):
+    """One row per ModelParams.  Rows are computed as they are written, so
+    a density whose bound raises leaves the rows before it in place."""
 
     def rows():
-        for nu in grid:
-            bound = speed_bound(ModelParams(d=args.dim, nu=nu, v=args.v, tau=args.tau))
+        for p in params:
+            bound = speed_bound(p)
             point = bound.argmin
             rho0, theta0 = (point.rho, point.theta) if point else (None, None)
-            yield nu, bound.slowness, bound.speed, rho0, theta0, bound.status.value
+            yield p.nu, bound.slowness, bound.speed, rho0, theta0, bound.status.value
 
     _write_csv(stream, "nu,slowness,speed,rho0,theta0,status", rows())
 
@@ -338,40 +332,41 @@ def _write_sweep(stream, args, grid):
 def _cmd_sweep(args):
     """Write the sweep CSV to --out, or to stdout when --out is absent."""
     _required(args, ["dim", "v", "tau"])
-    grid = _parse_nu_grid(args)
+    # every density is refused here, before the header is written
+    params = [ModelParams(d=args.dim, nu=nu, v=args.v, tau=args.tau)
+              for nu in _parse_nu_grid(args)]
     if args.out is None:
-        _write_sweep(sys.stdout, args, grid)
+        _write_sweep(sys.stdout, params)
         return EXIT_OK
-    with open(args.out, "w") as fh:
-        _write_sweep(fh, args, grid)
-    print(f"wrote {len(grid)} rows to {args.out}")
+    with _open_out(args.out) as fh:
+        _write_sweep(fh, params)
+    print(f"wrote {len(params)} rows to {args.out}")
     return EXIT_OK
 
 
 def _cmd_simulate(args):
-    kwargs = _sim_kwargs(args)
+    config, nu = _sim_config(args)
     _required(args, ["out"])
-    nu = args.n / _box_volume(args)
-    print(f"n={args.n} L={args.L} dim={args.dim} -> nu={nu:.6g}")
-    results = _run_many(kwargs, args.seed, args.runs)
+    workers = _worker_count()
+    print(f"n={config.n} L={config.box_length} dim={config.d} -> nu={nu:.6g}")
     rows = []
-    for seed, records in results:
-        fraction = len(records) / args.n
-        print(f"run seed={seed}: infected {len(records)}/{args.n} ({fraction:.3f})")
+    for seed, records in _run_many(config, args.runs, workers):
+        fraction = len(records) / config.n
+        print(f"run seed={seed}: infected {len(records)}/{config.n} ({fraction:.3f})")
         rows.extend((seed, rec) for rec in records)
-    with open(args.out, "w") as fh:
+    with _open_out(args.out) as fh:
         write_records(fh, rows)
     print(f"wrote {len(rows)} records to {args.out}")
     return EXIT_OK
 
 
 def _cmd_compare(args):
-    kwargs = _sim_kwargs(args)
+    config, nu = _sim_config(args)
     _defaults(args, bin_width=1.0, theoretical_scale=1.0)
     if args.dmin is None:
-        args.dmin = 5.0 * kwargs["radio_range"]
+        args.dmin = 5.0 * config.radio_range
     if args.dmax is None:
-        args.dmax = 0.5 * args.L
+        args.dmax = 0.5 * config.box_length
     # refuse a bad fit window, bin width or bound before any simulation
     if not args.dmin < args.dmax:
         raise StatsError(
@@ -379,12 +374,11 @@ def _cmd_compare(args):
         )
     if not 0.0 < args.bin_width < math.inf:
         raise StatsError(f"bin_width must be finite and > 0, got {args.bin_width}")
-    nu = args.n / _box_volume(args)
-    params = ModelParams(d=args.dim, nu=nu, v=args.v, tau=args.tau)
-    bound = speed_bound(params)
-    print(f"n={args.n} L={args.L} dim={args.dim} -> nu={nu:.12g}")
+    bound = speed_bound(ModelParams(d=config.d, nu=nu, v=config.v, tau=config.tau))
+    workers = _worker_count()
+    print(f"n={config.n} L={config.box_length} dim={config.d} -> nu={nu:.12g}")
 
-    results = _run_many(kwargs, args.seed, args.runs)
+    results = _run_many(config, args.runs, workers)
     # the figure curves track the propagation front, so fit the per-run
     # first-passage records, windowed to distances where a full annulus
     # fits inside the box
@@ -398,7 +392,7 @@ def _cmd_compare(args):
         )
     report = check_bound(fit, bound)
     if args.out:
-        with open(args.out, "w") as fh:
+        with _open_out(args.out) as fh:
             write_curve(fh, curve)
         print(f"wrote curve to {args.out}")
     print(report.describe())

@@ -39,6 +39,21 @@ class TestBound:
     def test_invalid_params(self, capsys):
         assert run_cli("bound", "--dim", "2", "--nu", "-1", "--v", "1", "--tau", "0") == 2
 
+    def test_zero_density_with_turns_is_infinite(self, capsys):
+        code = run_cli("bound", "--dim", "2", "--nu", "0", "--v", "1", "--tau", "0.1")
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "slowness: inf (zero density with tau > 0)" in out.splitlines()
+
+    @pytest.mark.parametrize("flags", [["--dim", "x"], ["--bogus", "1"]])
+    def test_parser_error_is_one_usage_line(self, flags, capsys):
+        code = run_cli("bound", "--nu", "0.1", "--v", "1", "--tau", "0", *flags)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("usage error: ")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -81,6 +96,9 @@ def test_non_finite_input_is_one_error_line(argv, tmp_path, capsys):
         (["--dim", "2", "--L", "1e200", "--nu", "0.1"], "box volume"),
         (["--dim", "-1", "--L", "0", "--nu", "0.1"], "box volume"),
         (["--dim", "2", "--L", "0", "--n", "5"], "box_length"),
+        # a valid box whose volume underflows to 0.0
+        (["--dim", "3", "--L", "1e-110", "--range", "1e-111", "--dt", "1e-113",
+          "--n", "5"], "box volume"),
     ],
 )
 def test_box_out_of_range_is_one_error_line(command, flags, message, tmp_path, capsys):
@@ -184,6 +202,21 @@ class TestSweep:
             captured = capsys.readouterr()
             assert code == 1
             assert captured.err.startswith("usage error: need 0 < nu-min < nu-max < inf")
+            assert captured.out == ""
+            assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["nan", "-1", "inf"])
+    def test_bad_nu_grid_density_is_refused_before_any_output(self, bad, tmp_path,
+                                                              capsys):
+        # the kernel's own check, made for every density before the CSV
+        # header or any row is written, to stdout or to --out
+        out = tmp_path / "sweep.csv"
+        for extra in ((), ("--out", str(out))):
+            code = run_cli(*self.SWEEP, "--nu-grid", f"0.01,{bad}", *extra)
+            captured = capsys.readouterr()
+            assert code == 2
+            message = f"nu must be finite and >= 0, got {float(bad)}"
+            assert captured.err == f"error: {message}\n"
             assert captured.out == ""
             assert not out.exists()
 
@@ -323,6 +356,26 @@ class TestCompare:
         assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--dim", "2", "--v", "1", "--tau", "0", "--nu-grid", "0.01"],
+        ["simulate", "--dim", "2", "--L", "12", "--n", "15", "--v", "1", "--tau", "0",
+         "--tmax", "20"],
+        list(TestCompare.ARGS),
+    ],
+    ids=["sweep", "simulate", "compare"],
+)
+def test_unwritable_out_is_one_usage_line(argv, tmp_path, capsys):
+    # like an unreadable --config: one line, exit 1, no traceback
+    out = tmp_path / "missing" / "x.csv"
+    code = run_cli(*argv, "--out", str(out))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"usage error: cannot write {str(out)!r}: No such file or directory\n"
+    assert not out.parent.exists()
+
+
 class TestConfigFile:
     def test_flags_win_over_config(self, tmp_path, capsys):
         doc = {"dim": 2, "nu": 0.5, "v": 1.0, "tau": 0.0}
@@ -451,13 +504,29 @@ class TestEntryPoint:
         monkeypatch.setattr(cli, "run_epidemic", batch)
         monkeypatch.setenv("DTN_SPEED_THREADS", threads)
         kwargs = dict(d=2, box_length=12.0, n=15, v=1.0, tau=0.0, t_max=20.0)
-        results = cli._run_many(kwargs, 7, runs)
+        config = SimConfig(**kwargs, seed=7)
+        results = cli._run_many(config, runs, cli._worker_count())
         assert [seed for seed, _ in results] == list(range(7, 7 + runs))
         assert sizes == ([] if pool_size is None else [pool_size])
         assert batches == chunks
         for seed, records in results:
             alone = run_epidemic(SimConfig(**kwargs, seed=seed))
             assert [records] == alone
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_bad_worker_env_is_refused_before_any_output(self, command, tmp_path,
+                                                          monkeypatch, capsys):
+        out = tmp_path / "x.csv"
+        monkeypatch.setenv("DTN_SPEED_THREADS", "abc")
+        code = run_cli(command, "--dim", "2", "--L", "12", "--n", "15", "--v", "1",
+                       "--tau", "0", "--tmax", "20", "--out", str(out))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (
+            "usage error: DTN_SPEED_THREADS must be an integer, got 'abc'\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_worker_env_does_not_change_output(self, tmp_path, monkeypatch):
         args = (

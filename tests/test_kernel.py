@@ -186,6 +186,11 @@ class TestThetaOfRho:
         p = ModelParams(d=2, nu=0.05, v=1.0, tau=0.0)
         assert theta_of_rho(p, 1.0) == pytest.approx(1.391229846660184, rel=1e-12)
 
+    @pytest.mark.parametrize("rho", [0.0, -1.0])
+    def test_rho_not_positive_rejected(self, rho):
+        with pytest.raises(DomainError, match="requires rho > 0"):
+            theta_of_rho(ModelParams(d=2, nu=0.05, v=1.0, tau=0.1), rho)
+
     def test_d3_transcendental(self):
         # frozen from a 40-digit solve of 2*rho*v/log(...) = A
         p = ModelParams(d=3, nu=0.01, v=1.0, tau=0.1)
@@ -529,8 +534,11 @@ class TestAsymptotics:
         assert 50.0 <= e3 / e4 <= 200.0
 
     def test_wrong_regime_rejected(self):
-        with pytest.raises(DomainError):
-            asymptotic_speed_random_walk(ModelParams(d=2, nu=0.01, v=1.0, tau=0.0))
+        # billiard motion, D other than 2, or a density at or above 1/pi
+        for d, nu, tau in ((2, 0.01, 0.0), (1, 0.01, 0.1), (3, 0.01, 0.1),
+                           (2, 1.0 / math.pi, 0.1), (2, 0.5, 0.1)):
+            with pytest.raises(DomainError):
+                asymptotic_speed_random_walk(ModelParams(d=d, nu=nu, v=1.0, tau=tau))
         with pytest.raises(DomainError):
             billiard_oracle(ModelParams(d=2, nu=0.01, v=1.0, tau=0.1))
         with pytest.raises(DomainError):

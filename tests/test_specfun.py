@@ -38,7 +38,7 @@ def mp_oracle_i(order, x):
 
 
 class TestDim:
-    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, np.int64(2)])
     def test_valid(self, d):
         assert check_dim(d) == d
 
@@ -162,6 +162,8 @@ class TestY:
             y(2, 1.0, 0.5, 1.0, 0.5)  # tau + theta == rho*v
         with pytest.raises(DomainError):
             y(1, 2.0, 0.5, 1.0, 0.0)
+        with pytest.raises(DomainError, match="requires rho >= 0"):
+            y(2, -0.5, 1.0, 1.0, 0.1)
 
     def test_y3_small_rhov_limit(self):
         assert y(3, 1e-10, 2.0, 1.0, 0.5) == pytest.approx(1.0 / 2.5, rel=1e-12)

@@ -154,6 +154,11 @@ class TestCurveRSquared:
         curve = build_curve([rec(2.0 * (k + 0.5), k + 0.5) for k in range(20)], 1.0)
         assert curve_r_squared(curve, 0.0) == pytest.approx(1.0, abs=1e-12)
 
+    def test_flat_bins_are_one(self):
+        # equal mean times leave nothing to explain: R^2 is 1, not 0/0
+        curve = build_curve([rec(3.0, k + 0.5) for k in range(6)], 1.0)
+        assert curve_r_squared(curve, 0.0) == 1.0
+
     def test_needs_three_bins(self):
         curve = build_curve([rec(1.0, 0.5), rec(2.0, 1.5)], 1.0)
         with pytest.raises(StatsError):
