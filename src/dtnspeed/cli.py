@@ -6,6 +6,7 @@ statistics error, 3 domination failure.  Every CSV is written here.
 
 import argparse
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -225,6 +226,22 @@ def _sim_config(args):
     return config, config.n / volume
 
 
+def _check_out(path):
+    """Refuse an --out that is a directory, or whose directory is missing
+    or not writable, before any output or simulation.  The file is not
+    created here: a command that fails later leaves none."""
+    parent = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(parent, os.W_OK | os.X_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise UsageError(f"cannot write {path!r}: {os.strerror(code)}")
+
+
 def _open_out(path):
     """--out opened for writing, or a UsageError that says why it cannot be."""
     try:
@@ -347,6 +364,7 @@ def _cmd_sweep(args):
 def _cmd_simulate(args):
     config, nu = _sim_config(args)
     _required(args, ["out"])
+    _check_out(args.out)
     workers = _worker_count()
     print(f"n={config.n} L={config.box_length} dim={config.d} -> nu={nu:.6g}")
     rows = []
@@ -375,6 +393,8 @@ def _cmd_compare(args):
     if not 0.0 < args.bin_width < math.inf:
         raise StatsError(f"bin_width must be finite and > 0, got {args.bin_width}")
     bound = speed_bound(ModelParams(d=config.d, nu=nu, v=config.v, tau=config.tau))
+    if args.out:
+        _check_out(args.out)
     workers = _worker_count()
     print(f"n={config.n} L={config.box_length} dim={config.d} -> nu={nu:.12g}")
 

@@ -31,9 +31,9 @@ stacks their runs: rows k*n .. k*n+n-1 of every per-node array are run
 k, and source_origin has one row per run.  A plain World is a stack of
 one.  One `advance` moves every run and one `flood` floods every run:
 it compares nodes only with nodes of their own run, and it returns
-records keyed by stack row.  Each run's World holds row views of the
-stack, so code that moves or infects nodes writes those arrays only in
-place, never rebinding one.
+records keyed by stack row.  The stack is the only live copy of its
+runs' state: a run's World gets its rows back (`_unstack`) when the run
+leaves the stack and when the batch ends.
 
 The module does no I/O: `cli.write_records` writes the records as CSV.
 """
@@ -130,9 +130,7 @@ class World:
     A World may be the stack of a lockstep batch (`_stack`): it then
     holds R = len(positions) // n runs, rows k*n .. k*n+n-1 of each
     per-node array being run k, and source_origin holds one row per run.
-    A plain World is a stack of one.  Each run's own World holds row views
-    of positions, directions, next_turn_time, infected and turn_count, so
-    they are only ever updated in place."""
+    A plain World is a stack of one."""
 
     config: SimConfig
     time: float
@@ -280,10 +278,7 @@ def advance(world):
     time can differ from dt in the last bit).  A node whose next turn
     falls inside the step instead walks its turns one at a time on Python
     floats (`_walk_turns`), and its row is written over the array's.  The
-    step is O(n) array work plus a Python loop over the turns.
-
-    The world may be the stack of a lockstep batch, whose arrays the runs
-    hold row views of: every array is updated in place, never rebound."""
+    step is O(n) array work plus a Python loop over the turns."""
     config = world.config
     end = world.time + config.dt
     if not _within_t_max(end, config):
@@ -537,19 +532,16 @@ def flood(world):
 
 def _stack(worlds):
     """One World whose arrays are the worlds' arrays stacked row by row,
-    run k in rows k*n .. k*n+n-1, each world's arrays rebound to its rows
-    of them, so that one `advance` or `flood` of the stack moves or floods
-    every world.  The worlds share their config apart from the seed, and
-    so their clock.  source_origin holds one row per world; the stack
-    starts with no watch, and so with no gap horizon: its first flood
-    runs a grid query.
+    run k in rows k*n .. k*n+n-1, so that one `advance` or `flood` of the
+    stack moves or floods every run.  The worlds share their config
+    apart from the seed, and so their clock.  source_origin holds one row
+    per world; the stack starts with no watch, and so with no gap horizon:
+    its first flood runs a grid query.
 
-    The row views must stay although only the stack is stepped: they
-    keep each World that `init_world` returned up to date, and callers
-    read those Worlds after the run (perfbench's traced layers count
-    node steps and turns from them)."""
+    The stack is the only live copy of its runs' state: the worlds are
+    left as they were until `_unstack` writes the stack back to them."""
     first = worlds[0]
-    stack = World(
+    return World(
         config=first.config,
         time=first.time,
         positions=np.concatenate([w.positions for w in worlds]),
@@ -561,15 +553,23 @@ def _stack(worlds):
         steps=first.steps,
         node_rngs=[rng for w in worlds for rng in w.node_rngs],
     )
-    n = first.config.n
+
+
+def _unstack(stack, worlds):
+    """Write the stack of `worlds` (`_stack`) back to them: each world gets
+    its rows of every per-node array, copied into its own arrays, and the
+    stack's clock and step count, so that it is the World of its seed run
+    alone, up to this step."""
+    n = stack.config.n
     for k, world in enumerate(worlds):
         rows = slice(k * n, (k + 1) * n)
-        world.positions = stack.positions[rows]
-        world.directions = stack.directions[rows]
-        world.next_turn_time = stack.next_turn_time[rows]
-        world.infected = stack.infected[rows]
-        world.turn_count = stack.turn_count[rows]
-    return stack
+        world.positions[:] = stack.positions[rows]
+        world.directions[:] = stack.directions[rows]
+        world.next_turn_time[:] = stack.next_turn_time[rows]
+        world.infected[:] = stack.infected[rows]
+        world.turn_count[:] = stack.turn_count[rows]
+        world.node_rngs[:] = stack.node_rngs[rows]
+        world.time, world.steps = stack.time, stack.steps
 
 
 # Most seeds one lockstep batch holds; a longer run_epidemic steps its
@@ -585,15 +585,13 @@ _LOCKSTEP_RUNS = 64
 
 def _run_lockstep(config, seeds):
     """The runs of `seeds` in lockstep (`run_epidemic`), one record list
-    per seed, in seed order."""
+    per seed, in seed order.  `live` holds the batch indices of the runs
+    in the stack, in stack order."""
     n = config.n
-    live = [
-        (init_world(replace(config, seed=seed)),
-         [InfectionRecord(node_id=0, infection_time=0.0, distance=0.0)])
-        for seed in seeds
-    ]
-    results = [records for _, records in live]
-    stack = _stack([world for world, _ in live])
+    worlds = [init_world(replace(config, seed=seed)) for seed in seeds]
+    results = [[InfectionRecord(node_id=0, infection_time=0.0, distance=0.0)] for _ in seeds]
+    live = list(range(len(seeds)))
+    stack = _stack(worlds)
     while True:
         wave = flood(stack)
         if wave:
@@ -601,20 +599,18 @@ def _run_lockstep(config, seeds):
                 k, node = divmod(record.node_id, n)
                 if k:  # run 0's rows are its node ids
                     record = InfectionRecord(node, record.infection_time, record.distance)
-                live[k][1].append(record)
-            going = [(w, r) for w, r in live if not w.infected.all()]
-            if len(going) < len(live):
-                for world, _ in live:
-                    world.time, world.steps = stack.time, stack.steps
-                live = going
+                results[live[k]].append(record)
+            done = stack.infected.reshape(len(live), n).all(axis=1)
+            if done.any():
+                _unstack(stack, [worlds[k] for k in live])
+                live = [k for k, gone in zip(live, done.tolist()) if not gone]
                 if not live:
-                    break
-                stack = _stack([world for world, _ in live])
+                    return results
+                stack = _stack([worlds[k] for k in live])
         if not _within_t_max(stack.time + config.dt, config):
             break
         advance(stack)
-    for world, _ in live:
-        world.time, world.steps = stack.time, stack.steps
+    _unstack(stack, [worlds[k] for k in live])
     return results
 
 
@@ -630,12 +626,14 @@ def run_epidemic(config, runs=1):
     stacked into one World (`_stack`) and each step makes one `advance`
     and one `flood` of the stack, whose records are mapped from stack
     rows back to (run, node).
-    A run leaves the stack when a flood infects its last node: its World
-    is released, and the stack is rebuilt from the others.  Every node
-    keeps its own RNG stream, every float operation is elementwise, and
-    every contact is decided within one run on the same float, so each
-    run's records, clock, step and turn counts equal those of the same
-    seed run alone.
+    A run leaves the stack when a flood infects its last node: the stack
+    is written back to its runs' Worlds (`_unstack`) and rebuilt from the
+    others, and the last stack is written back when the batch ends, so
+    each World that `init_world` returned ends in its run's final state.
+    Every node keeps its own RNG stream, every float operation is
+    elementwise, and every contact is decided within one run on the same
+    float, so each run's records, clock, step and turn counts equal those
+    of the same seed run alone.
 
     Records are in (infection_time, node_id) order, the source first: each
     flood returns its wave in node order at one time, and the waves are

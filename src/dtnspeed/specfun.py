@@ -125,6 +125,10 @@ def y(d, rho, theta, v, tau):
     Requires tau + theta > rho * v (convergence region of the transform).
     """
     check_dim(d)
+    if not all(map(math.isfinite, (rho, theta, v, tau))):
+        raise DomainError(
+            f"y requires finite rho, theta, v and tau, got {rho}, {theta}, {v}, {tau}"
+        )
     if rho < 0.0:
         raise DomainError(f"y requires rho >= 0, got {rho}")
     x = tau + theta

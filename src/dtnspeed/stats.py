@@ -66,11 +66,22 @@ class DominationReport:
         )
 
 
+def _check_finite(records):
+    """Refuse a record whose distance or infection_time is NaN or infinite:
+    it would make a bin or a fit silently NaN, or fail to bin."""
+    for rec in records:
+        for name in ("distance", "infection_time"):
+            value = getattr(rec, name)
+            if not math.isfinite(value):
+                raise StatsError(f"record {name} must be finite, got {value}")
+
+
 def build_curve(records, bin_width):
     """Group records by distance bin; per-bin mean time, standard error of
     the mean, and count.  Empty input gives an empty curve."""
     if not 0.0 < bin_width < math.inf:
         raise StatsError(f"bin_width must be finite and > 0, got {bin_width}")
+    _check_finite(records)
     groups = {}
     for rec in records:
         groups.setdefault(int(rec.distance // bin_width), []).append(
@@ -127,6 +138,7 @@ def fit_slope(records, d_min, d_max=math.inf):
     records at distance >= d_min (and <= d_max when given).  The free
     intercept absorbs the near-field transient; the slope estimates the
     slowness."""
+    _check_finite(records)
     kept = [r for r in records if d_min <= r.distance <= d_max]
     xs = np.asarray([r.distance for r in kept])
     ys = np.asarray([r.infection_time for r in kept])

@@ -366,14 +366,25 @@ class TestCompare:
     ],
     ids=["sweep", "simulate", "compare"],
 )
-def test_unwritable_out_is_one_usage_line(argv, tmp_path, capsys):
-    # like an unreadable --config: one line, exit 1, no traceback
-    out = tmp_path / "missing" / "x.csv"
-    code = run_cli(*argv, "--out", str(out))
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err == f"usage error: cannot write {str(out)!r}: No such file or directory\n"
-    assert not out.parent.exists()
+def test_unwritable_out_is_one_usage_line(argv, tmp_path, capsys, monkeypatch):
+    # like an unreadable --config: one line, exit 1, no traceback, and
+    # refused before any output or simulation, whether its directory is
+    # missing or a file, or it is a directory itself
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated before checking --out")
+
+    monkeypatch.setattr(cli, "run_epidemic", refuse)
+    (tmp_path / "file").write_text("")
+    for out, reason in [(tmp_path / "missing" / "x.csv", "No such file or directory"),
+                        (tmp_path / "file" / "x.csv", "Not a directory"),
+                        (tmp_path, "Is a directory")]:
+        code = run_cli(*argv, "--out", str(out))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"usage error: cannot write {str(out)!r}: {reason}\n"
+        assert captured.out == ""
+    assert not (tmp_path / "missing").exists()
+    assert (tmp_path / "file").read_text() == ""
 
 
 class TestConfigFile:

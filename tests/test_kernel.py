@@ -238,6 +238,12 @@ class TestKernelResidual:
         p1 = ModelParams(d=1, nu=0.0, v=1.0, tau=1.0)
         assert kernel_residual(p1, KernelPoint(1.0, 1.0)) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("point", [KernelPoint(1.0, math.nan), KernelPoint(math.inf, 1.0)])
+    def test_non_finite_point_rejected(self, point):
+        # a NaN theta once gave a NaN residual instead of an error
+        with pytest.raises(DomainError, match="finite"):
+            kernel_residual(ModelParams(d=2, nu=0.1, v=1.0, tau=0.1), point)
+
 
 class TestSpeedBound:
     def test_unbounded_at_threshold(self):

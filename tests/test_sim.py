@@ -752,8 +752,9 @@ class TestFlood:
         records = flood(stack)
         assert records == flood(alone)
         assert [r.node_id for r in records] == [1, 2, 3]
-        # run 1 read through the stack, and through its World's row view
+        # run 1 read through the stack, and through its World written back
         assert stack.infected[cfg.n:].tolist() == [True] + [False] * 4
+        sim_module._unstack(stack, worlds)
         assert worlds[1].infected.tolist() == [True] + [False] * 4
         # later floods of the stack, answered from its watch, agree too
         for _ in range(3):
@@ -761,7 +762,10 @@ class TestFlood:
             advance(alone)
             assert flood(stack) == flood(alone)
         assert stack.infected[cfg.n:].tolist() == [True] + [False] * 4
+        sim_module._unstack(stack, worlds)
         assert worlds[1].infected.tolist() == [True] + [False] * 4
+        assert np.array_equal(worlds[0].positions, alone.positions)
+        assert worlds[0].steps == alone.steps == 3
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_stack_flood_searches_runs_to_their_own_depths(self, d):
@@ -1151,6 +1155,35 @@ class TestLockstep:
         finished = [w for w in batch_worlds if w.infected.all()]
         assert len({w.steps for w in finished}) > 1
         assert len(finished) < len(batch_worlds)
+
+    def test_stack_arrays_may_be_rebound(self, monkeypatch):
+        # the stack is the only live copy of its runs' state: an advance
+        # that rebinds the stack's arrays instead of writing them in place
+        # still leaves each seed's records and World as its seed run alone,
+        # also for the runs that outlive a restack
+        cfg = SimConfig(d=2, box_length=12.0, n=12, v=1.0, tau=0.1, t_max=40.0, seed=5)
+        real_advance = sim_module.advance
+
+        def rebinding_advance(world):
+            real_advance(world)
+            world.positions = world.positions.copy()
+            world.turn_count = world.turn_count.copy()
+            return world
+
+        worlds = self.captured_worlds(monkeypatch)
+        monkeypatch.setattr(sim_module, "advance", rebinding_advance)
+        batch = run_epidemic(cfg, runs=4)
+        batch_worlds = worlds[:]
+        monkeypatch.setattr(sim_module, "advance", real_advance)
+        for world, records in zip(batch_worlds, batch):
+            del worlds[:]
+            assert run_epidemic(replace(cfg, seed=world.config.seed)) == [records]
+            (alone,) = worlds
+            assert np.array_equal(alone.positions, world.positions)
+            assert np.array_equal(alone.turn_count, world.turn_count)
+            assert alone.steps == world.steps
+        # some run leaves the stack before another, so a restack happens
+        assert len({w.steps for w in batch_worlds}) > 1
 
     def test_batches_past_the_cap_equal_each_seed_alone(self, monkeypatch):
         # a run count past the lockstep cap is stepped in batches of at

@@ -165,6 +165,15 @@ class TestY:
         with pytest.raises(DomainError, match="requires rho >= 0"):
             y(2, -0.5, 1.0, 1.0, 0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("arg", ["rho", "theta", "v", "tau"])
+    def test_non_finite_argument_rejected(self, arg, bad):
+        # y(2, 1.0, nan, 1.0, 0.1) once returned nan, and theta = inf 0.0
+        args = {"rho": 1.0, "theta": 1.0, "v": 1.0, "tau": 0.1, arg: bad}
+        for d in (1, 2, 3):
+            with pytest.raises(DomainError, match="requires finite rho, theta, v and tau"):
+                y(d, **args)
+
     def test_y3_small_rhov_limit(self):
         assert y(3, 1e-10, 2.0, 1.0, 0.5) == pytest.approx(1.0 / 2.5, rel=1e-12)
 

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -57,6 +58,14 @@ class TestBuildCurve:
         with pytest.raises(StatsError, match="bin_width must be finite"):
             build_curve([rec(1.0, 1.0)], width)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["distance", "infection_time"])
+    def test_non_finite_record_refused(self, field, bad):
+        # a NaN distance used to fail in int(), a NaN time to make a NaN mean
+        records = [rec(1.0, 1.0), replace(rec(2.0, 2.0), **{field: bad})]
+        with pytest.raises(StatsError, match=f"record {field} must be finite"):
+            build_curve(records, 1.0)
+
     def test_counts_preserved(self):
         records = synthetic_line(2.0, 0.0, 500, 0.1)
         curve = build_curve(records, 2.5)
@@ -93,6 +102,15 @@ class TestFitSlope:
     def test_too_few_records(self):
         with pytest.raises(StatsError, match="at least 10"):
             fit_slope([rec(1.0, 1.0)] * 9, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["distance", "infection_time"])
+    def test_non_finite_record_refused(self, field, bad):
+        # a NaN time in the window used to give a NaN slope
+        records = synthetic_line(2.0, 1.0, 20, 0.1)
+        records[5] = replace(records[5], **{field: bad})
+        with pytest.raises(StatsError, match=f"record {field} must be finite"):
+            fit_slope(records, 0.0)
 
     def test_degenerate_design(self):
         with pytest.raises(StatsError, match="one distance"):
