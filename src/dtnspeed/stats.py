@@ -9,8 +9,6 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .kernel import BoundStatus
-
 
 class StatsError(ValueError):
     """Insufficient or degenerate data for the requested statistic."""
@@ -70,10 +68,9 @@ def _check_finite(records):
     """Refuse a record whose distance or infection_time is NaN or infinite:
     it would make a bin or a fit silently NaN, or fail to bin."""
     for rec in records:
-        for name in ("distance", "infection_time"):
-            value = getattr(rec, name)
-            if not math.isfinite(value):
-                raise StatsError(f"record {name} must be finite, got {value}")
+        if not (math.isfinite(rec.distance) and math.isfinite(rec.infection_time)):
+            name = "infection_time" if math.isfinite(rec.distance) else "distance"
+            raise StatsError(f"record {name} must be finite, got {getattr(rec, name)}")
 
 
 def build_curve(records, bin_width):
@@ -109,8 +106,10 @@ def front_records(records):
 
     The analytical bound constrains the fastest journey, and the figure
     curves track the propagation front; per-node reception times in a
-    finite box are dominated by mixing, not by the front.
+    finite box are dominated by mixing, not by the front.  A non-finite
+    record is refused: it would sort anywhere and hide the real front.
     """
+    _check_finite(records)
     best = -math.inf
     out = []
     for rec in sorted(records, key=lambda r: (r.infection_time, r.node_id)):
@@ -148,7 +147,7 @@ def fit_slope(records, d_min, d_max=math.inf):
             f"need at least 10 records with distance >= {d_min}, got {n}"
         )
     slope, intercept, sxx, rss = _ols(xs, ys)
-    stderr = math.sqrt(rss / (n - 2) / sxx) if n > 2 else 0.0
+    stderr = math.sqrt(rss / (n - 2) / sxx)
     return SlopeFit(
         slope=slope,
         intercept=intercept,
@@ -179,17 +178,19 @@ def curve_r_squared(curve, d_min, d_max=math.inf):
 
 def check_bound(fit, bound):
     """Domination test: fitted slowness (plus 2 stderr) must not fall below
-    the theoretical slowness.  Unbounded bounds pass trivially."""
-    if bound.status != BoundStatus.FINITE:
-        theoretical = 0.0
-    else:
-        theoretical = bound.slowness
-    margin = fit.slope - theoretical
-    passed = fit.slope + 2.0 * fit.slope_std_error >= theoretical
+    the bound's own slowness, so an unbounded bound (slowness 0) passes
+    trivially.  A non-finite slowness (the zero-density degenerate bound),
+    slope or stderr, or a negative stderr, is refused: no verdict holds."""
+    for name, value in (("bound slowness", bound.slowness), ("fitted slope", fit.slope),
+                        ("slope stderr", fit.slope_std_error)):
+        if not math.isfinite(value):
+            raise StatsError(f"{name} must be finite, got {value}")
+    if fit.slope_std_error < 0.0:
+        raise StatsError(f"slope stderr must be >= 0, got {fit.slope_std_error}")
     return DominationReport(
-        theoretical_slowness=theoretical,
+        theoretical_slowness=bound.slowness,
         fitted_slowness=fit.slope,
         stderr=fit.slope_std_error,
-        margin=margin,
-        passed=passed,
+        margin=fit.slope - bound.slowness,
+        passed=fit.slope + 2.0 * fit.slope_std_error >= bound.slowness,
     )

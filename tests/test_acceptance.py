@@ -23,7 +23,13 @@ from dtnspeed.kernel import (
 )
 from dtnspeed.sim import SimConfig, advance, flood, init_world, run_epidemic
 from dtnspeed.specfun import UNIT_BALL_VOLUME, bessel_i0, bessel_i1, psi, xi, y
-from dtnspeed.stats import build_curve, curve_r_squared, fit_slope, front_records
+from dtnspeed.stats import (
+    build_curve,
+    check_bound,
+    curve_r_squared,
+    fit_slope,
+    front_records,
+)
 
 from test_kernel import bisect_theta
 from test_sim import bfs_oracle
@@ -265,15 +271,15 @@ def test_criterion_7_figure_scenarios(tau, nu, L):
     fit = fit_slope(records, d_min, d_max)
     curve = build_curve([r for r in records if r.distance <= d_max], 2.0)
     r2 = curve_r_squared(curve, d_min, d_max)
-    theoretical = speed_bound(ModelParams(d=2, nu=nu, v=1.0, tau=tau)).slowness
-    dominates = fit.slope + 2.0 * fit.slope_std_error >= theoretical
+    bound = speed_bound(ModelParams(d=2, nu=nu, v=1.0, tau=tau))
+    verdict = check_bound(fit, bound)
     elapsed = time.perf_counter() - start
-    ok = dominates and r2 > 0.95 and elapsed < 600.0
+    ok = verdict.passed and r2 > 0.95 and elapsed < 600.0
     report(
         f"7 (nu={nu}, L={L:.0f}, tau={tau})",
         ok,
         f"fitted slowness {fit.slope:.3f}+-{fit.slope_std_error:.3f} vs "
-        f"theoretical {theoretical:.3f}, R2={r2:.3f}, {elapsed:.0f}s",
+        f"theoretical {verdict.theoretical_slowness:.3f}, R2={r2:.3f}, {elapsed:.0f}s",
     )
 
 

@@ -369,15 +369,21 @@ class TestCompare:
 def test_unwritable_out_is_one_usage_line(argv, tmp_path, capsys, monkeypatch):
     # like an unreadable --config: one line, exit 1, no traceback, and
     # refused before any output or simulation, whether its directory is
-    # missing or a file, or it is a directory itself
+    # missing or a file, or it is a directory itself, or (simulate and
+    # compare, which check it first; sweep opens it) it is not writable
     def refuse(*args, **kwargs):
         raise AssertionError("simulated before checking --out")
 
     monkeypatch.setattr(cli, "run_epidemic", refuse)
     (tmp_path / "file").write_text("")
-    for out, reason in [(tmp_path / "missing" / "x.csv", "No such file or directory"),
-                        (tmp_path / "file" / "x.csv", "Not a directory"),
-                        (tmp_path, "Is a directory")]:
+    targets = [(tmp_path / "missing" / "x.csv", "No such file or directory"),
+               (tmp_path / "file" / "x.csv", "Not a directory"),
+               (tmp_path, "Is a directory")]
+    if argv[0] != "sweep":
+        # mode bits do not stop root: make os.access deny the directory
+        monkeypatch.setattr(cli.os, "access", lambda *args, **kwargs: False)
+        targets.append((tmp_path / "x.csv", "Permission denied"))
+    for out, reason in targets:
         code = run_cli(*argv, "--out", str(out))
         captured = capsys.readouterr()
         assert code == 1

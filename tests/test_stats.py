@@ -1,13 +1,22 @@
+import ast
 import io
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dtnspeed.cli import write_curve
-from dtnspeed.kernel import BoundStatus, KernelPoint, SpeedBound
+from dtnspeed import stats
+from dtnspeed.kernel import (
+    BoundStatus,
+    KernelPoint,
+    ModelParams,
+    SpeedBound,
+    speed_bound,
+)
 from dtnspeed.sim import InfectionRecord
 from dtnspeed.stats import (
     SlopeFit,
@@ -165,6 +174,16 @@ class TestFrontRecords:
         assert times == sorted(times)
         assert dists == sorted(dists)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["distance", "infection_time"])
+    def test_non_finite_record_refused(self, field, bad):
+        # a NaN time sorts anywhere, so it could cut the front short or
+        # drop the source; a NaN distance would be skipped silently
+        records = [rec(0.0, 0.0), rec(1.0, 50.0), rec(1.0, 2.0), rec(2.0, 3.0)]
+        records[1] = replace(records[1], **{field: bad})
+        with pytest.raises(StatsError, match=f"record {field} must be finite"):
+            front_records(records)
+
 
 class TestCurveRSquared:
     def test_exact_line_is_one(self):
@@ -216,6 +235,29 @@ class TestCheckBound:
         assert report.passed
         assert report.theoretical_slowness == 0.0
 
+    def test_degenerate_zero_density_refused(self):
+        # slowness +inf by kernel's convention: no fit can be checked
+        # against it, and reading it as 0 would pass any fit
+        bound = speed_bound(ModelParams(d=2, nu=0.0, v=1.0, tau=0.1))
+        assert bound.status == BoundStatus.DEGENERATE_ZERO_DENSITY
+        fit = SlopeFit(slope=1.2, intercept=0.0, slope_std_error=0.01, fit_window=(5, 50))
+        with pytest.raises(StatsError, match="bound slowness must be finite, got inf"):
+            check_bound(fit, bound)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["slope", "slope_std_error"])
+    def test_non_finite_fit_refused(self, field, bad):
+        # a NaN slope or stderr would read as FAIL, an infinite one as
+        # PASS or FAIL by its sign
+        fit = SlopeFit(slope=1.2, intercept=0.0, slope_std_error=0.01, fit_window=(5, 50))
+        with pytest.raises(StatsError, match="must be finite"):
+            check_bound(replace(fit, **{field: bad}), finite_bound(1.0))
+
+    def test_negative_stderr_refused(self):
+        fit = SlopeFit(slope=0.5, intercept=0.0, slope_std_error=-1.0, fit_window=(5, 50))
+        with pytest.raises(StatsError, match="slope stderr must be >= 0"):
+            check_bound(fit, finite_bound(1.0))
+
     def test_json_round_trip(self):
         fit = SlopeFit(slope=1.2, intercept=0.0, slope_std_error=0.01, fit_window=(5, 50))
         report = check_bound(fit, finite_bound(1.0))
@@ -223,6 +265,16 @@ class TestCheckBound:
         assert doc["pass"] is True
         assert doc["fitted_slowness"] == 1.2
         assert "PASS" in report.describe()
+
+
+def test_stats_imports_nothing_from_the_package():
+    # check_bound reads the bound's own slowness, not kernel's statuses
+    tree = ast.parse(Path(stats.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and not node.module.startswith("dtnspeed")
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("dtnspeed") for alias in node.names)
 
 
 class TestWriters:
