@@ -187,28 +187,47 @@ def _golden_min(f, lo, hi, rel_tol):
     return 0.5 * (lo + hi)
 
 
-def _map(fn, x):
-    """fn applied to each element.  The scan takes math's cosh, sinh and
-    tanh, not numpy's: on AVX-512 CPUs numpy's differ from them by an ulp
-    or two in about a quarter of the arguments, and the cancellation in
-    Psi_3 magnifies that."""
-    return np.fromiter(map(fn, x.tolist()), float, x.size)
+def _map(fn, values):
+    """fn applied to each element of the list values, as an array.  The
+    scan takes math's cosh, sinh and tanh, not numpy's: on AVX-512 CPUs
+    numpy's differ from them by an ulp or two in about a quarter of the
+    arguments, and the cancellation in Psi_3 magnifies that."""
+    return np.fromiter(map(fn, values), float, len(values))
+
+
+def _join(mask, inside, outside):
+    """One array from the values of the points in mask and of the rest,
+    each in its points' order: np.where with each branch evaluated only
+    on the points that take it."""
+    out = np.empty(mask.shape)
+    out[mask] = inside
+    out[~mask] = outside
+    return out
 
 
 def _bessel_grid(x, order):
-    """specfun._bessel_series over an array: each element takes the same
-    terms, stops on the same rule and cap, and leaves the loop there."""
-    q = 0.25 * x * x
-    term = 0.5 * x if order else np.ones_like(x)
-    total = term
-    cap = _SERIES_CAP + x.astype(int)
-    out = np.empty_like(x)
-    left = np.arange(x.size)
+    """specfun._bessel_series over an array of 0 <= x <= MAX_ARG: each
+    element takes the same terms, stops on the same rule and cap, and
+    leaves the loop there.
+
+    Two of the scalar's stop tests are out of the per-term work.  Its
+    total == 0 holds only where the first term is 0 (order 1 at x = +-0,
+    or a subnormal x whose half underflows), since terms are >= 0; such
+    an element returns that term, sign included, and never enters the
+    loop.  Its cap, _SERIES_CAP + int(x), is at least _SERIES_CAP, so it
+    is tested only from k = _SERIES_CAP on."""
+    out = 0.5 * x if order else np.ones_like(x)
+    left = np.flatnonzero(out)
+    term = total = out[left]
+    q = 0.25 * x[left] * x[left]
+    cap = _SERIES_CAP + x[left].astype(int)
     k = 1
     while left.size:
         term = term * (q / (k * (k + order)))
         total = total + term
-        done = (term < 1e-16 * total) | (total == 0.0) | (cap == k)
+        done = term < 1e-16 * total
+        if k >= _SERIES_CAP:
+            done |= cap == k
         if done.any():
             out[left[done]] = total[done]
             keep = ~done
@@ -221,32 +240,37 @@ def _bessel_grid(x, order):
 
 def _psi_xi_grid(d, rho):
     """specfun.psi and specfun.xi over an array of 0 < rho <= MAX_ARG,
-    with the same branches and operation order."""
-    r2 = rho * rho
+    with the same branches and operation order.  Each point evaluates
+    only its own branch: the Taylor polynomials below _SMALL_RHO, the
+    closed forms (one tolist for sinh and cosh) or the I1 series above
+    it."""
     small = rho < _SMALL_RHO
+    s, b = rho[small], rho[~small]
+    s2 = s * s
     if d == 2:
-        psi_ = np.where(
+        psi_ = _join(
             small,
-            2.0 * math.pi * (0.5 + r2 / 16.0 + r2 * r2 / 384.0),
-            2.0 * math.pi * _bessel_grid(rho, 1) / rho,
+            2.0 * math.pi * (0.5 + s2 / 16.0 + s2 * s2 / 384.0),
+            2.0 * math.pi * _bessel_grid(b, 1) / b,
         )
         return psi_, 2.0 * math.pi * _bessel_grid(rho, 0)
-    sinh, cosh = _map(math.sinh, rho), _map(math.cosh, rho)
+    values = b.tolist()
+    sinh, cosh = _map(math.sinh, values), _map(math.cosh, values)
     if d == 1:
-        psi_ = np.where(
-            small, 2.0 * (1.0 + r2 / 6.0 + r2 * r2 / 120.0), 2.0 * sinh / rho
+        psi_ = _join(
+            small, 2.0 * (1.0 + s2 / 6.0 + s2 * s2 / 120.0), 2.0 * sinh / b
         )
-        xi_ = np.where(small, 2.0 * (1.0 + r2 / 2.0 + r2 * r2 / 24.0), 2.0 * cosh)
+        xi_ = _join(small, 2.0 * (1.0 + s2 / 2.0 + s2 * s2 / 24.0), 2.0 * cosh)
         return psi_, xi_
-    psi_ = np.where(
+    psi_ = _join(
         small,
-        4.0 * math.pi * (1.0 / 3.0 + r2 / 30.0 + r2 * r2 / 840.0),
-        4.0 * math.pi * (rho * cosh - sinh) / (r2 * rho),
+        4.0 * math.pi * (1.0 / 3.0 + s2 / 30.0 + s2 * s2 / 840.0),
+        4.0 * math.pi * (b * cosh - sinh) / (b * b * b),
     )
-    xi_ = np.where(
+    xi_ = _join(
         small,
-        4.0 * math.pi * (1.0 + r2 / 6.0 + r2 * r2 / 120.0),
-        4.0 * math.pi * sinh / rho,
+        4.0 * math.pi * (1.0 + s2 / 6.0 + s2 * s2 / 120.0),
+        4.0 * math.pi * sinh / b,
     )
     return psi_, xi_
 
@@ -257,8 +281,10 @@ def _ratio_grid(params, rho):
 
     Bit-identical to the scalar path: it takes the same branches and the
     same IEEE operations in the same order, and math's transcendentals."""
-    # the branch np.where drops, and the points past the pole, may
-    # divide by zero or overflow; the scalar path never evaluates them
+    # no point evaluates a branch it does not take, but the points past
+    # the pole, where A(rho) = 0, or where rho*v or A(rho) overflows may
+    # divide by zero or overflow: Python floats do so silently, and the
+    # last two np.where drop the values past the pole and at A(rho) = 0
     with np.errstate(all="ignore"):
         psi_, xi_ = _psi_xi_grid(params.d, rho)
         denom = 1.0 - params.nu * psi_
@@ -270,8 +296,12 @@ def _ratio_grid(params, rho):
             x = np.sqrt(a_rho * a_rho + a * a)
         else:
             z = a / a_rho
-            x = np.where(
-                z < 1e-12, a_rho * (1.0 + z * z / 3.0), a / _map(math.tanh, z)
+            tiny = z < 1e-12
+            zt, zr = z[tiny], z[~tiny]
+            x = _join(
+                tiny,
+                a_rho[tiny] * (1.0 + zt * zt / 3.0),
+                a[~tiny] / _map(math.tanh, zr.tolist()),
             )
         theta = np.where(a_rho == 0.0, a, x - params.tau)
         return np.where(denom <= 0.0, math.inf, theta / rho)

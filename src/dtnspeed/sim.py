@@ -402,10 +402,8 @@ def _run_pairs(points, near, far, reach, n):
 
 
 # Most steps a gap horizon may skip after a flood, and the steps a watch
-# list lives.  A longer horizon widens the query's reach
-# and so its candidate block and watch list.  Median perfbench pass_s over
-# seeds 0-3 (2-core x86-64): figure 3.01 / 2.72 / 2.65 s and large-n 0.90
-# / 0.89 / 1.02 s at 4 / 8 / 16.
+# list lives.  A longer horizon lets more floods return at once, but it
+# widens the query's reach and so its candidate block and watch list.
 _HORIZON_STEPS = 8
 
 

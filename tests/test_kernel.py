@@ -16,10 +16,18 @@ from dtnspeed.kernel import (
     pole_rho,
     speed_bound,
     theta_of_rho,
+    _bessel_grid,
     _ratio_grid,
     _scan_grid,
 )
-from dtnspeed.specfun import UNIT_BALL_VOLUME, DomainError, psi, y
+from dtnspeed.specfun import (
+    _SMALL_RHO,
+    UNIT_BALL_VOLUME,
+    DomainError,
+    _bessel_series,
+    psi,
+    y,
+)
 
 # Xi_D(0): 2, 2*pi, 4*pi
 XI_AT_ZERO = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
@@ -423,8 +431,19 @@ class TestRatioScan:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_array_pass_is_bit_identical(self, d):
+        # just below threshold the pole is near 3e-6, so the whole grid
+        # takes the Taylor branch and the other branch's subset is empty;
+        # the low densities give grids with no Taylor point.  In D=3
+        # pole_rho stops near 2.2e-4, in the rounding noise of Psi_3's
+        # closed form, so that grid is cut at _SMALL_RHO.
+        near = []
+        for tau in (0.0, 0.1):
+            p = ModelParams(d=d, nu=(1 - 1e-12) / UNIT_BALL_VOLUME[d], v=1.0, tau=tau)
+            pole = min(pole_rho(p), _SMALL_RHO)
+            assert _scan_grid(pole)[-1] < _SMALL_RHO
+            near.append((p, pole))
         cases = 0
-        for p, pole in scan_cases(d, 1e-300):
+        for p, pole in [*scan_cases(d, 1e-300), *near]:
             grid = _scan_grid(pole)
             values = [scalar_ratio(p, r) for r in grid]
             array = _ratio_grid(p, np.array(grid))
@@ -433,6 +452,17 @@ class TestRatioScan:
             assert int(np.argmin(array)) == first_min, p
             cases += 1
         assert cases >= 360
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_bessel_grid_is_the_scalar_series(self, order):
+        # bit for bit, so -0.0 and 0.0 differ: at order 1 the first three
+        # have a first term of 0, and the sweep's large x run past
+        # k = 300, where the cap is tested
+        sweep = np.geomspace(1e-300, 700.0, 3000)
+        x = np.array([0.0, -0.0, 5e-324, 1e-300, *sweep])
+        expected = np.array([_bessel_series(v, order) for v in x.tolist()])
+        got = _bessel_grid(x, order)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
     def test_grid_is_the_per_point_powers(self):
         # the cached powers times lo are, bit for bit, the grid taken one
