@@ -22,6 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .specfun import (
+    _PSI3_TAYLOR_RHO,
     _SERIES_CAP,
     _SMALL_RHO,
     MAX_ARG,
@@ -241,9 +242,9 @@ def _bessel_grid(x, order):
 def _psi_xi_grid(d, rho):
     """specfun.psi and specfun.xi over an array of 0 < rho <= MAX_ARG,
     with the same branches and operation order.  Each point evaluates
-    only its own branch: the Taylor polynomials below _SMALL_RHO, the
-    closed forms (one tolist for sinh and cosh) or the I1 series above
-    it."""
+    only its own branch: the Taylor polynomials below _SMALL_RHO (below
+    _PSI3_TAYLOR_RHO for D=3 psi), the closed forms or the I1 series
+    above it."""
     small = rho < _SMALL_RHO
     s, b = rho[small], rho[~small]
     s2 = s * s
@@ -255,22 +256,26 @@ def _psi_xi_grid(d, rho):
         )
         return psi_, 2.0 * math.pi * _bessel_grid(rho, 0)
     values = b.tolist()
-    sinh, cosh = _map(math.sinh, values), _map(math.cosh, values)
+    sinh = _map(math.sinh, values)
     if d == 1:
         psi_ = _join(
             small, 2.0 * (1.0 + s2 / 6.0 + s2 * s2 / 120.0), 2.0 * sinh / b
         )
-        xi_ = _join(small, 2.0 * (1.0 + s2 / 2.0 + s2 * s2 / 24.0), 2.0 * cosh)
+        xi_ = _join(
+            small, 2.0 * (1.0 + s2 / 2.0 + s2 * s2 / 24.0), 2.0 * _map(math.cosh, values)
+        )
         return psi_, xi_
-    psi_ = _join(
-        small,
-        4.0 * math.pi * (1.0 / 3.0 + s2 / 30.0 + s2 * s2 / 840.0),
-        4.0 * math.pi * (b * cosh - sinh) / (b * b * b),
-    )
     xi_ = _join(
         small,
         4.0 * math.pi * (1.0 + s2 / 6.0 + s2 * s2 / 120.0),
         4.0 * math.pi * sinh / b,
+    )
+    taylor, closed = rho < _PSI3_TAYLOR_RHO, b >= _PSI3_TAYLOR_RHO
+    t2, c = rho[taylor] * rho[taylor], b[closed]
+    psi_ = _join(
+        taylor,
+        4.0 * math.pi * (1.0 / 3.0 + t2 / 30.0 + t2 * t2 / 840.0 + t2 * t2 * t2 / 45360.0),
+        4.0 * math.pi * (c * _map(math.cosh, c.tolist()) - sinh[closed]) / (c * c * c),
     )
     return psi_, xi_
 

@@ -9,22 +9,24 @@ Each node owns an independent RNG stream, so trajectories are invariant
 under time-step refinement: only contact detection depends on dt.
 
 One step is O(n) numpy work and O(n) memory when nodes are sparse.
-`advance` runs every step: it moves all nodes as arrays and walks only
-the direction changes, on Python floats.  `flood` is the only neighbour
-query, on a linked-cell grid of at most 16 cells per node (`_near_pairs`)
-instead of an n x n distance matrix.  Below the percolation threshold
-most steps bring no contact.  A flood keeps the unreached-infected pairs
-that lie within its query's reach as a watch list, and until the nodes
-can have moved far enough for another pair to close in, later floods
-look only at those pairs: an empty flood returns from them, and a flood
-with a contact takes its first wave from them and follows the rest of
-the wave from the new nodes alone.  A flood also bounds, from the
-distance between the infected and the unreached nodes and the speed
-bound v, the first step at which a pair can come within range, and a
-flood at an earlier step returns nothing at once.  Every range decision
-is the same float comparison as the dense one, and a flood the horizon
-cuts short is an empty one, so records do not depend on the grid, the
-watch or the horizon.
+`advance` runs every step: it moves all nodes with one array operation,
+and the rest of its work is row-local: it folds only the components that
+left the box, and walks each node whose direction changes on Python
+floats from its own row, then writes that row back.  `flood` is the only
+neighbour query, on a linked-cell grid of at most 16 cells per node
+(`_near_pairs`) instead of an n x n distance matrix.  Below the
+percolation threshold most steps bring no contact.  A flood keeps the
+unreached-infected pairs that lie within its query's reach as a watch
+list, and until the nodes can have moved far enough for another pair to
+close in, later floods look only at those pairs: an empty flood returns
+from them, and a flood with a contact takes its first wave from them and
+follows the rest of the wave from the new nodes alone.  A flood also
+bounds, from the distance between the infected and the unreached nodes
+and the speed bound v, the first step at which a pair can come within
+range, and a flood at an earlier step returns nothing at once.  Every
+range decision is the same float comparison as the dense one, and a
+flood the horizon cuts short is an empty one, so records do not depend
+on the grid, the watch or the horizon.
 
 `run_epidemic` runs the seeds of a batch in lockstep, as one World that
 stacks their runs: rows k*n .. k*n+n-1 of every per-node array are run
@@ -209,16 +211,20 @@ def fold_positions(positions, directions, length):
     """Specular reflection: fold raw positions into [0, L], flipping the
     matching direction components on odd-numbered mirror images.  Each
     axis folds independently (corner bounces compose).  Components inside
-    (0, L] are their own fold, so only the others are folded."""
-    outside = (positions <= 0.0) | (positions > length)
-    if outside.any():
-        period = 2.0 * length
-        folded = np.mod(positions[outside], period)
-        over = folded > length
-        folded[over] = period - folded[over]
-        positions[outside] = folded
-        outside[outside] = over  # now the components that reflect
-        directions[outside] = -directions[outside]
+    (0, L] are their own fold, so only the others are folded, one at a
+    time on Python floats through flat views of the two C-contiguous
+    arrays: a step's work is two reductions plus its wall crossings
+    (Python's float % is numpy's float mod)."""
+    if positions.min() > 0.0 and positions.max() <= length:
+        return
+    flat, flat_dirs = positions.reshape(-1), directions.reshape(-1)
+    period = 2.0 * length
+    for k in ((flat <= 0.0) | (flat > length)).nonzero()[0].tolist():
+        p = flat.item(k) % period
+        if p > length:
+            p = period - p
+            flat_dirs[k] = -flat_dirs.item(k)
+        flat[k] = p
 
 
 def _within_t_max(time, config):
@@ -243,30 +249,28 @@ def _move_row(pos, dirn, step, length):
 
 
 def _walk_turns(world, turning, end):
-    """Walk each turning node from world.time to `end` on Python floats:
-    move to the turn, fold, redraw the direction and the next turn time
-    from its own RNG stream, and at the last leg move to `end`.  Updates
-    the turn schedule and counts; returns the rows of positions and
-    directions at `end`."""
+    """Walk each turning node, a list of rows, from world.time to `end` on
+    Python floats: move to the turn, fold, redraw the direction and the
+    next turn time from its own RNG stream, and at the last leg move to
+    `end`.  Updates the node's turn schedule and count; returns (row,
+    position, direction) at `end` for each node."""
     config = world.config
-    v, length = config.v, config.box_length
-    positions = world.positions[turning].tolist()
-    directions = world.directions[turning].tolist()
-    next_turn = world.next_turn_time[turning].tolist()
-    turns = [0] * len(next_turn)
-    for k, i in enumerate(turning.tolist()):
+    d, v, tau, length = config.d, config.v, config.tau, config.box_length
+    next_turn, walked = world.next_turn_time, []
+    for i in turning:
         rng = world.node_rngs[i]
-        pos, dirn, turn, t = positions[k], directions[k], next_turn[k], world.time
+        pos, dirn = world.positions[i].tolist(), world.directions[i].tolist()
+        turn, t, turns = next_turn.item(i), world.time, 0
         while turn < end:
             _move_row(pos, dirn, v * (turn - t), length)
-            directions[k] = dirn = _isotropic_direction(rng, config.d)
-            t, turn = turn, turn + _turn_increment(rng, config.tau)
-            turns[k] += 1
+            dirn = _isotropic_direction(rng, d)
+            t, turn = turn, turn + _turn_increment(rng, tau)
+            turns += 1
         _move_row(pos, dirn, v * (end - t), length)
-        next_turn[k] = turn
-    world.next_turn_time[turning] = next_turn
-    world.turn_count[turning] += turns
-    return positions, directions
+        next_turn[i] = turn
+        world.turn_count[i] += turns
+        walked.append((i, pos, dirn))
+    return walked
 
 
 def advance(world):
@@ -274,22 +278,24 @@ def advance(world):
     with Poisson direction changes applied at their exact scheduled times
     (any number per step).  Mutates and returns the world.
 
-    One array move and one fold carry all n nodes by exactly v*dt (end -
+    One array move and one fold carry all nodes by exactly v*dt (end -
     time can differ from dt in the last bit).  A node whose next turn
     falls inside the step instead walks its turns one at a time on Python
-    floats (`_walk_turns`), and its row is written over the array's.  The
-    step is O(n) array work plus a Python loop over the turns."""
+    floats from its position at world.time (`_walk_turns`), and its row
+    is written over the array's after the fold.  Past the array move, the
+    step's work is row-local: the fold touches only the components that
+    left the box, and the Python loop runs over the turns."""
     config = world.config
     end = world.time + config.dt
     if not _within_t_max(end, config):
         raise ConfigError("advance would step past t_max")
 
-    turning = (world.next_turn_time < end).nonzero()[0]
-    walked = _walk_turns(world, turning, end) if turning.size else None
+    turning = (world.next_turn_time < end).nonzero()[0].tolist()
+    walked = _walk_turns(world, turning, end)
     world.positions += world.directions * (config.v * config.dt)
     fold_positions(world.positions, world.directions, config.box_length)
-    if walked is not None:
-        world.positions[turning], world.directions[turning] = walked
+    for i, pos, dirn in walked:
+        world.positions[i], world.directions[i] = pos, dirn
 
     world.time = end
     world.steps += 1
@@ -311,7 +317,10 @@ def _cell_ids(points, scale, cells, strides):
     idx = (points * scale + 1.0).astype(np.intp)
     np.maximum(idx, 1, out=idx)
     np.minimum(idx, cells, out=idx)
-    return idx @ strides
+    ids = idx[:, 0] * strides[0]
+    for a in range(1, len(strides)):
+        ids += idx[:, a] * strides[a]
+    return ids
 
 
 def _dilated(ids, size, strides):
@@ -389,13 +398,17 @@ def _run_pairs(points, near, far, reach, n):
     list into runs, and each run is one dense `_pair_d2` block of its own
     rows.  The callers concatenate the parts once, not once per call."""
     bounds = np.arange(n, len(points), n)
-    near_cuts = [0, *np.searchsorted(near, bounds).tolist(), len(near)]
-    far_cuts = [0, *np.searchsorted(far, bounds).tolist(), len(far)]
+    near_cuts = [0, *near.searchsorted(bounds).tolist(), len(near)]
+    far_cuts = [0, *far.searchsorted(bounds).tolist(), len(far)]
     parts = []
     for a, b, c, e in zip(near_cuts, near_cuts[1:], far_cuts, far_cuts[1:]):
         if a < b and c < e:
             block_near, block_far = near[a:b], far[c:e]
-            d2 = _pair_d2(points[block_near].T[..., None], points[block_far].T)
+            # computed far x near, so the long axis (a search level's
+            # unreached rows) is numpy's inner loop; take is the fast gather
+            d2 = _pair_d2(
+                points.take(block_far, 0).T[..., None], points.take(block_near, 0).T
+            ).T
             rows, cols = (d2 <= reach**2).nonzero()
             parts.append((block_near[rows], block_far[cols], d2[rows, cols]))
     return parts
@@ -475,6 +488,8 @@ def flood(world):
     Floods cut short by the horizon and watched floods are exactly the
     empty ones, and a watched contact reaches the nodes a query would,
     so the records and the trajectories stay as they are."""
+    if world.watch is not None and world.steps < world.watch[3]:
+        return []
     config = world.config
     n, r, length = config.n, config.radio_range, config.box_length
     slack = 1e-9 * length
@@ -483,12 +498,10 @@ def flood(world):
 
     outer = -math.inf
     if world.watch is not None:
-        pair_u, pair_i, taken, due = world.watch
-        if world.steps < due:
-            return []
+        pair_u, pair_i, taken, _ = world.watch
         outer = reach - (world.steps - taken) * hop
     if outer - r - slack >= 0.0:
-        d2 = _pair_d2(pos[pair_u].T, pos[pair_i].T)
+        d2 = _pair_d2(pos.take(pair_u, 0).T, pos.take(pair_i, 0).T)
     else:
         outer, taken = reach, world.steps
         unreached = (~world.infected).nonzero()[0]

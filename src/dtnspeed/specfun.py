@@ -16,6 +16,10 @@ MAX_ARG = 700.0
 # over the whole domain.
 _SERIES_CAP = 300
 _SMALL_RHO = 1e-4     # switch to Taylor expansion below this (0/0 guards)
+# Psi_3's closed form loses about 3*eps/rho**2 of its value to cancellation;
+# below this it takes its Taylor polynomial, whose first omitted term is
+# under 1e-22 of the sum there
+_PSI3_TAYLOR_RHO = 0.01
 _SMALL_RHOV_RATIO = 1e-4   # Y_3 series branch when rho*v << tau+theta
 
 # volume of the unit communication ball per dimension
@@ -114,8 +118,10 @@ def psi(d, rho):
             return 2.0 * math.pi * (0.5 + r2 / 16.0 + r2 * r2 / 384.0)
         return 2.0 * math.pi * _bessel_series(rho, 1) / rho
     # D=3: rho*cosh(rho) - sinh(rho) cancels catastrophically near 0
-    if rho < _SMALL_RHO:
-        return 4.0 * math.pi * (1.0 / 3.0 + r2 / 30.0 + r2 * r2 / 840.0)
+    if rho < _PSI3_TAYLOR_RHO:
+        return 4.0 * math.pi * (
+            1.0 / 3.0 + r2 / 30.0 + r2 * r2 / 840.0 + r2 * r2 * r2 / 45360.0
+        )
     return 4.0 * math.pi * (rho * math.cosh(rho) - math.sinh(rho)) / (r2 * rho)
 
 

@@ -171,6 +171,34 @@ class TestPoleRho:
             r = pole_rho(p)
             assert nu * psi(d, r) == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "g, rel", [(1e-6, 1e-6), (1e-8, 1e-6), (1e-9, 1e-6), (1e-12, 1e-3)]
+    )
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_near_threshold_root_matches_mpmath(self, d, g, rel):
+        # nu = (1 - g)/V_D puts the pole near sqrt(2*(D+2)*g), where Psi_3's
+        # closed form once cancelled to noise and pole_rho returned 2.2e-4
+        # in D=3 for every g <= 1e-9.  The oracle is the root of
+        # nu*Psi_D(rho) = 1 for the float nu, in 50-digit arithmetic.  A
+        # rounding unit of nu*Psi_D moves the root by about eps/(2g)
+        # relative, so no double-precision search gets within 1e-6 at
+        # g = 1e-12 (D=2 lands 3.4e-5 off there); that case is held to
+        # 1e-3, ten times that resolution.
+        from mpmath import besseli, cosh, findroot, mp, mpf, pi as mppi, sinh
+
+        def mp_psi(r):
+            if d == 1:
+                return 2 * sinh(r) / r
+            if d == 2:
+                return 2 * mppi * besseli(1, r) / r
+            return 4 * mppi * (r * cosh(r) - sinh(r)) / r**3
+
+        nu = (1.0 - g) / UNIT_BALL_VOLUME[d]
+        got = pole_rho(ModelParams(d=d, nu=nu, v=1.0, tau=0.0))
+        with mp.workdps(50):
+            root = findroot(lambda r: mpf(nu) * mp_psi(r) - 1, math.sqrt(2 * (d + 2) * g))
+            assert abs(mpf(got) / root - 1) < rel
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_bracket_stops_at_overflow_guard(self, d):
         # the pole lies in (512, MAX_ARG): the doubling bracket must stop at 700
@@ -433,13 +461,12 @@ class TestRatioScan:
     def test_array_pass_is_bit_identical(self, d):
         # just below threshold the pole is near 3e-6, so the whole grid
         # takes the Taylor branch and the other branch's subset is empty;
-        # the low densities give grids with no Taylor point.  In D=3
-        # pole_rho stops near 2.2e-4, in the rounding noise of Psi_3's
-        # closed form, so that grid is cut at _SMALL_RHO.
+        # the low densities give grids with no Taylor point, and in D=3
+        # the grids of poles from 0.01 to 1e4 cross Psi_3's own switch.
         near = []
         for tau in (0.0, 0.1):
             p = ModelParams(d=d, nu=(1 - 1e-12) / UNIT_BALL_VOLUME[d], v=1.0, tau=tau)
-            pole = min(pole_rho(p), _SMALL_RHO)
+            pole = pole_rho(p)
             assert _scan_grid(pole)[-1] < _SMALL_RHO
             near.append((p, pole))
         cases = 0

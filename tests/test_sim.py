@@ -160,7 +160,7 @@ def numpy_turn_advance(world):
     config = world.config
     v, length = config.v, config.box_length
     end = world.time + config.dt
-    step = np.full(config.n, v * config.dt)
+    step = np.full(len(world.positions), v * config.dt)
     for i in (world.next_turn_time < end).nonzero()[0]:
         rng = world.node_rngs[i]
         pos, dirn = world.positions[i : i + 1], world.directions[i : i + 1]
@@ -388,6 +388,35 @@ class TestAdvance:
             assert fast.time == reference.time
         assert reference.turn_count.sum() > cfg.n
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_turn_and_wall_crossing_in_one_step(self, d):
+        # on a stack of three runs, rows that turn in a step also cross a
+        # wall in that step's array move: the fold then reflects their
+        # stale rows, which the walked rows must overwrite, so the stack
+        # stays bit-equal to the numpy row-view walk
+        cfg = SimConfig(
+            d=d, box_length=4.0, n=30, v=1.3, tau=5.0, dt=0.075, t_max=30.0, seed=7
+        )
+        fast, reference = (
+            sim_module._stack([init_world(replace(cfg, seed=s)) for s in (7, 8, 9)])
+            for _ in range(2)
+        )
+        for world in (fast, reference):
+            world.positions[::2, 0] = 0.01
+            world.directions[::2, 0] = -np.abs(world.directions[::2, 0])
+        both = 0
+        for _ in range(200):
+            end = fast.time + cfg.dt
+            moved = fast.positions + fast.directions * (cfg.v * cfg.dt)
+            crossing = ((moved <= 0.0) | (moved > cfg.box_length)).any(axis=1)
+            both += int((crossing & (fast.next_turn_time < end)).sum())
+            advance(fast)
+            numpy_turn_advance(reference)
+            for name in ("positions", "directions", "next_turn_time", "turn_count"):
+                got, want = getattr(fast, name), getattr(reference, name)
+                assert got.tobytes() == want.tobytes(), name
+        assert both >= 5
+
     def test_mirror_trajectory_equivalence(self):
         # folded billiard position == free-space position passed through
         # the 2L-periodic folding map, at every step
@@ -423,22 +452,41 @@ class TestFoldPositions:
         assert pos[0, 0] == pytest.approx(3.0)
 
     def test_matches_whole_array_fold(self):
-        # reference: fold every component, inside the box or not
+        # reference: fold every component, inside the box or not, on
+        # stacks with no component, one component or many outside the box:
+        # the fold's early return, a lone wall crossing or edge value (a
+        # lone -0.0 must still fold to +0.0), and many bounces mixed with
+        # the edge values
         length = 10.0
-        rng = np.random.default_rng(5)
-        edges = [0.0, -0.0, length, 2.0 * length, -length, 1e-300, -1e-300]
-        raw = np.concatenate([rng.uniform(-35.0, 45.0, 400), edges])
-        raw = raw.reshape(-1, 1)
-        dirn = rng.choice([-1.0, 1.0], size=raw.shape)
         period = 2.0 * length
-        want_pos = np.mod(raw, period)
-        over = want_pos > length
-        want_pos[over] = period - want_pos[over]
-        want_dir = np.where(over, -dirn, dirn)
-        pos = raw.copy()
-        fold_positions(pos, dirn, length)
-        assert pos.tobytes() == want_pos.tobytes()
-        assert dirn.tobytes() == want_dir.tobytes()
+        rng = np.random.default_rng(5)
+        edges = [
+            0.0, -0.0, length, 2.0 * length, -length, 1e-300, -1e-300,
+            5e-324, -5e-324, math.nextafter(length, math.inf), 3.0 * length,
+        ]
+        for d in (1, 2, 3):
+            inside = rng.uniform(1e-9, length, (120, d))
+            inside[0, d - 1] = length  # L is inside the box
+            stacks = [inside]
+            for value in [-0.3, length + 0.3, *edges]:
+                one = inside.copy()
+                one[rng.integers(120), rng.integers(d)] = value
+                stacks.append(one)
+            many = np.concatenate(
+                [rng.uniform(-35.0, 45.0, 400 * d), edges * d, rng.uniform(-35.0, 45.0, 10)]
+            )
+            stacks.append(many[: len(many) // d * d].reshape(-1, d))
+            assert ((stacks[-1] <= 0.0) | (stacks[-1] > length)).sum() > 200
+            for raw in stacks:
+                dirn = rng.choice([-1.0, 1.0], size=raw.shape)
+                want_pos = np.mod(raw, period)
+                over = want_pos > length
+                want_pos[over] = period - want_pos[over]
+                want_dir = np.where(over, -dirn, dirn)
+                pos = raw.copy()
+                fold_positions(pos, dirn, length)
+                assert pos.tobytes() == want_pos.tobytes(), d
+                assert dirn.tobytes() == want_dir.tobytes(), d
 
     def test_negative_fold(self):
         pos = np.array([[-2.5]])

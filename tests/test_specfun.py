@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dtnspeed.specfun import (
+    _PSI3_TAYLOR_RHO,
     DomainError,
     UNIT_BALL_VOLUME,
     bessel_i0,
@@ -118,6 +119,20 @@ class TestPsi:
     def test_small_rho_branch_continuity(self):
         for d in (1, 2, 3):
             assert psi(d, 0.99e-4) == pytest.approx(psi(d, 1.01e-4), rel=1e-7)
+
+    def test_psi3_matches_mpmath_where_its_closed_form_cancels(self):
+        # rho*cosh(rho) - sinh(rho) loses about 3*eps/rho**2 of Psi_3 to
+        # cancellation (3e-8 at rho = 1e-4); below the switch the Taylor
+        # polynomial keeps it to rounding, and above it the loss is under
+        # 4e-12
+        from mpmath import cosh, mp, mpf, pi as mppi, sinh
+
+        with mp.workdps(50):
+            for rho in np.geomspace(1e-6, 0.1, 61).tolist():
+                r = mpf(rho)
+                exact = float(4 * mppi * (r * cosh(r) - sinh(r)) / r**3)
+                rel = 1e-15 if rho < _PSI3_TAYLOR_RHO else 4e-12
+                assert psi(3, rho) == pytest.approx(exact, rel=rel), rho
 
     def test_negative_rho(self):
         with pytest.raises(DomainError, match=r"^psi requires rho >= 0, got -1.0$"):
