@@ -14,11 +14,13 @@ and the rest of its work is row-local: it folds only the components that
 left the box, and walks each node whose direction changes on Python
 floats from its own row, then writes that row back.  `flood` is the only
 neighbour query, on a linked-cell grid of at most 16 cells per node
-(`_near_pairs`) instead of an n x n distance matrix.  Below the
-percolation threshold most steps bring no contact.  A flood keeps the
-unreached-infected pairs that lie within its query's reach as a watch
-list, and until the nodes can have moved far enough for another pair to
-close in, later floods look only at those pairs: an empty flood returns
+(`_near_pairs`) instead of an n x n distance matrix: a node is compared
+only with the nodes in the cells next to its own, so the query's work
+follows the pairs it finds.  Below the percolation threshold most steps
+bring no contact.  A flood keeps the unreached-infected pairs that lie
+within its query's reach as a watch list, and until the nodes can have
+moved far enough for another pair to close in (up to 33 steps), later
+floods look only at those pairs: an empty flood returns
 from them, and a flood with a contact takes its first wave from them and
 follows the rest of the wave from the new nodes alone.  A flood also
 bounds, from the distance between the infected and the unreached nodes
@@ -360,12 +362,17 @@ def _near_pairs(points, query, target, reach, box_length, n):
 
     Broad phase on a linked-cell grid of cells at least `reach` wide, one
     block of cells per run, sized from the points per run: queries in a
-    cell next to a target's cell become candidates, and only they are
-    compared, against the targets next to a candidate's cell.  Pairs
-    within reach always sit in adjacent cells, so no pair within reach is
-    left out.  Cells of different runs are never adjacent, so a run's
-    candidates meet only its own targets, and the narrow phase is one
-    dense block per run that has candidates."""
+    cell next to a target's cell become candidates.  Narrow phase, cell
+    by cell: each candidate is compared only with the targets in its 3^d
+    neighbour cells, read from a cell table of the targets (their rows
+    sorted by cell, and each cell's start in that order), as one ragged
+    list of (candidate, target) pairs and one `_pair_d2` over it, so the
+    work follows the pairs near a candidate, not the run's targets.
+    Pairs within reach always sit in adjacent cells, so no pair within
+    reach is left out, and each pair is listed once.  Cells of different
+    runs are never adjacent, so a run's candidates meet only its own
+    targets.  Pairs come in candidate order, and a candidate's in cell
+    order, then target order."""
     if not len(query) or not len(target):
         return query[:0], target[:0], np.empty(0)
     d = points.shape[1]
@@ -381,13 +388,29 @@ def _near_pairs(points, query, target, reach, box_length, n):
     ids = _cell_ids(points, scale, cells, strides)
     ids += np.arange(0, runs * size, size).repeat(n)
     query_ids, target_ids = ids[query], ids[target]
-    candidates = query[_dilated(target_ids, runs * size, strides)[query_ids]]
+    near = _dilated(target_ids, runs * size, strides)[query_ids]
+    candidates = query[near]
     if not candidates.size:
         return query[:0], target[:0], np.empty(0)
-    nearby = target[_dilated(ids[candidates], runs * size, strides)[target_ids]]
-    # a run with candidates has nearby targets, so there is at least one part
-    rows, cols, d2 = zip(*_run_pairs(points, candidates, nearby, reach, n))
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(d2)
+    # the cell table: targets sorted by cell, cell c's at starts[c] onwards
+    by_cell = target[target_ids.argsort(kind="stable")]
+    counts = np.bincount(target_ids, minlength=runs * size)
+    starts = counts.cumsum() - counts
+    # a candidate's cell is interior, so its 3^d neighbours stay in its block
+    offsets = np.zeros(1, dtype=np.intp)
+    for s in strides:
+        offsets = (offsets[:, None] + np.array([-s, 0, s])).ravel()
+    cell = (query_ids[near][:, None] + offsets).ravel()
+    took = counts[cell]
+    ends = took.cumsum()
+    # pair k, the j-th of the pairs listed for `cell`, takes the target at
+    # by_cell[starts[cell] + j], with j = k - (ends - took) of its cell
+    slots = np.arange(ends[-1]) + (starts[cell] - ends + took).repeat(took)
+    rows = candidates.repeat(took.reshape(len(candidates), -1).sum(axis=1))
+    cols = by_cell[slots]
+    d2 = _pair_d2(points.take(rows, 0).T, points.take(cols, 0).T)
+    keep = d2 <= reach**2
+    return rows[keep], cols[keep], d2[keep]
 
 
 def _run_pairs(points, near, far, reach, n):
@@ -396,7 +419,9 @@ def _run_pairs(points, near, far, reach, n):
     run with rows in both lists.  near and far are ascending rows of
     `points`, which holds runs of n rows each, so searchsorted cuts each
     list into runs, and each run is one dense `_pair_d2` block of its own
-    rows.  The callers concatenate the parts once, not once per call."""
+    rows.  `flood`'s search makes each of its levels after the first with
+    it, near the unreached rows and far the rows reached last, and
+    concatenates the parts once, not once per level."""
     bounds = np.arange(n, len(points), n)
     near_cuts = [0, *near.searchsorted(bounds).tolist(), len(near)]
     far_cuts = [0, *far.searchsorted(bounds).tolist(), len(far)]
@@ -415,9 +440,14 @@ def _run_pairs(points, near, far, reach, n):
 
 
 # Most steps a gap horizon may skip after a flood, and the steps a watch
-# list lives.  A longer horizon lets more floods return at once, but it
-# widens the query's reach and so its candidate block and watch list.
-_HORIZON_STEPS = 8
+# list lives.  A longer horizon lets more floods return at once and spares
+# more grid queries, but it widens the query's reach, and so the pairs the
+# query finds and the watch list each flood compares.  At K = 32 with the
+# cell-local query, against K = 8 with a dense candidate x target block per
+# run, perfbench read `figure` pass_s 1.182 -> 1.037 s and `large-n` 0.535
+# -> 0.484 s (medians of 10 and 8 alternating pairs, 2-core x86-64); K = 64
+# did no better on `large-n` in process.  The records do not depend on K.
+_HORIZON_STEPS = 32
 
 
 def _hop_reach(config):
@@ -448,12 +478,11 @@ def flood(world):
     stack at once, or from the watch list below, so a call is O(n) array
     work when nodes are sparse.  Each later level is one compare of the
     whole stack, the nodes still unreached against the nodes reached
-    last, by `_run_pairs`, the narrow phase of the grid query: each run's
-    rows meet only its own, so only a run whose wave goes on compares
-    anything.  Below the threshold that level is a few nodes, and at
-    worst a run's block holds unreached x frontier floats, no more than
-    the n x n block a grid query compares when every node of a run shares
-    one cell.
+    last, by `_run_pairs`: each run's rows meet only its own, so only a
+    run whose wave goes on compares anything.  Below the threshold the
+    frontier is a few nodes, but the level still compares every unreached
+    node of its run, O(n) work per level, and at worst a run's block
+    holds unreached x frontier floats.
 
     A node moves at speed v along a continuous path: a turn splits the
     path without lengthening it, and a wall fold is 1-Lipschitz on each

@@ -143,13 +143,28 @@ def y(d, rho, theta, v, tau):
         raise DomainError(
             f"y requires tau + theta > rho*v, got tau+theta={x}, rho*v={a}"
         )
-    if d == 1:
-        return x / (x * x - a * a)
-    if d == 2:
-        return 1.0 / math.sqrt(x * x - a * a)
+    # x*x - a*a over- or underflows at moderate x and a; its factors
+    # (x - a)*(1 + a/x)*x do not
     u = a / x
-    if u < _SMALL_RHOV_RATIO:
+    if d == 1:
+        value = 1.0 / ((x - a) * (1.0 + u))
+    elif d == 2:
+        value = 1.0 / (math.sqrt(x - a) * math.sqrt(x) * math.sqrt(1.0 + u))
+    elif u < _SMALL_RHOV_RATIO:
         # log((x+a)/(x-a)) / (2a) = (1 + u^2/3 + u^4/5 + ...) / x; the
         # direct log cancels when u is tiny
-        return (1.0 + u * u / 3.0 + u**4 / 5.0) / x
-    return math.log((x + a) / (x - a)) / (2.0 * a)
+        value = (1.0 + u * u / 3.0 + u**4 / 5.0) / x
+    else:
+        # halving is exact, so the ratio is the same float where x + a
+        # overflows, and 0.5*log/a is log/(2a) where 2a would
+        total = x + a
+        if total == math.inf:
+            ratio = (0.5 * x + 0.5 * a) / (0.5 * x - 0.5 * a)
+        else:
+            ratio = total / (x - a)
+        value = 0.5 * math.log(ratio) / a
+    if not math.isfinite(value):
+        raise DomainError(
+            f"y({d}) overflows at tau+theta={x}, rho*v={a}"
+        )
+    return value

@@ -617,14 +617,24 @@ class TestFlood:
         # on a line every node is within range of the chain
         assert oracle == (set(range(len(points))) if d == 1 else set(range(11)))
 
-    @pytest.mark.parametrize("reach", [10.0, 1.0, 0.5])
+    @pytest.mark.parametrize("reach", [10.0, 1.0, 0.5, 0.05])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_nearest_d2_matches_dense(self, d, reach):
         # the grid query returns exactly the pairs within reach, each once,
-        # with the dense matrix's exact float
+        # with the dense matrix's exact float; at reach 0.05 the grid is
+        # capped at _CELLS_PER_POINT cells per point in D=2 and D=3, so its
+        # cells are wider than the reach
         rng = np.random.default_rng(d)
         query = rng.uniform(0.0, 10.0, size=(200, d))
         target = rng.uniform(0.0, 10.0, size=(100, d))
+        # points on the walls at 0 and L, some of them coincident, and
+        # targets a little off queries, so that small reaches find pairs
+        query[:4], target[:4] = 0.0, 0.0
+        query[4:8], target[4:8] = 10.0, 10.0
+        query[8:12, 0], target[8:12, 0] = 0.0, 10.0
+        target[12:40] = np.clip(
+            query[12:40] + rng.uniform(-0.02, 0.02, size=(28, d)), 0.0, 10.0
+        )
         pairs = ((query[:, None, :] - target[None, :, :]) ** 2).sum(axis=2)
         # one run of 300 points: the queries in rows 0-199, the targets after
         points = np.vstack([query, target])
@@ -726,7 +736,7 @@ class TestFlood:
         assert set(hit_steps) - set(queried)
         assert skipped > 0
 
-    @pytest.mark.parametrize("every", [2, 3, sim_module._HORIZON_STEPS + 1])
+    @pytest.mark.parametrize("every", [2, 3, 9, sim_module._HORIZON_STEPS + 1])
     @pytest.mark.parametrize(
         "d,box_length,n,tau", [(1, 40.0, 20, 0.5), (2, 15.0, 40, 0.2), (3, 8.0, 40, 1.0)]
     )
@@ -1035,7 +1045,8 @@ class TestRunEpidemic:
         d = len(lead)
         positions = np.array([lead - gap * heading_0, lead])
         place_nodes(monkeypatch, positions, np.array([heading_0, heading_1]))
-        cfg = SimConfig(d=d, box_length=10.0, n=2, v=1.0, tau=0.0, dt=0.05, t_max=1.0)
+        # 40 steps: past the latest contact, K + 1 steps plus two to the wall
+        cfg = SimConfig(d=d, box_length=10.0, n=2, v=1.0, tau=0.0, dt=0.05, t_max=2.0)
         records = run_epidemic(cfg)[0]
         assert records == every_step_run(cfg)
         assert records == every_step_run(cfg, flood_step=dense_flood)
@@ -1073,14 +1084,15 @@ class TestRunEpidemic:
         records = self.two_node_run(monkeypatch, np.full(d, 10.0), heading, heading, gap)
         assert records[1].infection_time == pytest.approx(0.05 * contact_step)
 
-    # Node 2 closes head-on on the source from r + 2*v*dt*j +- 1e-12, for j
-    # = K and K + 1 with K = _HORIZON_STEPS: contact falls on the last step
-    # a watch list taken at step 0 is valid (K), and is found from it, on
-    # the first step it has expired (K + 1), or, from beyond its reach R,
-    # one step later.
+    # Node 2 closes head-on on the source from r + 2*v*dt*j +- 1e-12.  For
+    # j = 8 and 9 contact falls well inside the life of a watch list taken
+    # at step 0, and is found from it.  For j = K and K + 1 with K =
+    # _HORIZON_STEPS it falls on the last step the watch is valid (K), and
+    # is found from it, on the first step it has expired (K + 1), or, from
+    # beyond its reach R, one step later.
     WATCH_GAPS = [
         (1.0 + 0.1 * j + sign * 1e-12, j if sign < 0 else j + 1)
-        for j in (sim_module._HORIZON_STEPS, sim_module._HORIZON_STEPS + 1)
+        for j in (8, 9, sim_module._HORIZON_STEPS, sim_module._HORIZON_STEPS + 1)
         for sign in (-1.0, 1.0)
     ]
 
@@ -1112,8 +1124,14 @@ class TestRunEpidemic:
         monkeypatch.setattr(sim_module, "flood", logged_flood)
         cfg = SimConfig(d=d, box_length=10.0, n=3, v=1.0, tau=0.0, dt=0.05, t_max=2.0)
         records = run_epidemic(cfg)[0]
-        # no query between the watch taken at step 0 and its expiry at K + 1
-        assert queried[:2] == [0, sim_module._HORIZON_STEPS + 1]
+        # no query between the watch taken at step 0 and its expiry at K + 1;
+        # node 2 reaches node 1 about 10 steps after its own contact, so a
+        # run whose first contact comes before step K ends before K + 1
+        horizon = sim_module._HORIZON_STEPS
+        if contact_step < horizon:
+            assert queried == [0]
+        else:
+            assert queried[:2] == [0, horizon + 1]
         assert records == every_step_run(cfg, flood_step=dense_flood)
         assert [r.node_id for r in records[:2]] == [0, 2]
         assert records[1].infection_time == pytest.approx(0.05 * contact_step)
@@ -1277,6 +1295,51 @@ class TestLockstep:
         assert batch == alone
         assert in_batch["flood"] < calls["flood"]
         assert in_batch["query"] < calls["query"]
+
+    @staticmethod
+    def counted_queries(monkeypatch):
+        """Count `_near_pairs` calls from here on, in a one-item list."""
+        queries, near_pairs = [0], sim_module._near_pairs
+
+        def counted_near_pairs(*args):
+            queries[0] += 1
+            return near_pairs(*args)
+
+        monkeypatch.setattr(sim_module, "_near_pairs", counted_near_pairs)
+        return queries
+
+    @pytest.mark.parametrize(
+        "d,box_length,n,tau", [(1, 40.0, 20, 0.5), (2, 15.0, 40, 0.2), (3, 8.0, 40, 1.0)]
+    )
+    def test_records_do_not_depend_on_the_horizon(self, d, box_length, n, tau, monkeypatch):
+        # K = _HORIZON_STEPS decides only which floods are skipped or answered
+        # from the watch, and those are the empty ones: a lockstep batch
+        # whose runs leave the stack at different steps gets the same
+        # records at K = 1, 8 and 32, each run those of its seed stepped
+        # and flooded alone; K changes the number of grid queries
+        cfg = SimConfig(d=d, box_length=box_length, n=n, v=1.0, tau=tau,
+                        dt=0.05, t_max=60.0, seed=5)
+        alone = [every_step_run(replace(cfg, seed=5 + k)) for k in range(4)]
+        assert all(len(records) == n for records in alone)
+        assert len({records[-1].infection_time for records in alone}) == 4
+        queries = self.counted_queries(monkeypatch)
+        counts = []
+        for horizon in (1, 8, 32):
+            monkeypatch.setattr(sim_module, "_HORIZON_STEPS", horizon)
+            queries[0] = 0
+            assert run_epidemic(cfg, runs=4) == alone, horizon
+            counts.append(queries[0])
+        assert counts[0] > counts[1] > counts[2]
+
+    def test_grid_query_count(self, monkeypatch):
+        # an exact work count, free of timing noise: the `figure` scenario
+        # tau = 0, nu = 0.025, L = 80 (n = 160) as one batch of 4 runs
+        # makes 138 grid queries (500 at K = 8)
+        queries = self.counted_queries(monkeypatch)
+        cfg = SimConfig(d=2, box_length=80.0, n=160, v=1.0, tau=0.0, seed=0)
+        batch = run_epidemic(cfg, runs=4)
+        assert [len(records) for records in batch] == [160] * 4
+        assert queries[0] == 138
 
     @pytest.mark.parametrize("runs", [0, -1, 1.5, True, "2"])
     def test_bad_run_count_refused(self, runs):

@@ -189,6 +189,36 @@ class TestY:
             with pytest.raises(DomainError, match="requires finite rho, theta, v and tau"):
                 y(d, **args)
 
+    @pytest.mark.parametrize(
+        "d,rho,theta,expected",
+        [
+            # x*x overflows: the value once read 0.0, or NaN
+            (1, 1.0, 1e200, 1.0e-200),
+            (2, 1.0, 1e200, 1.0e-200),
+            (1, 1e200, 2e200, 6.666666666666667e-201),
+            (2, 1e200, 2e200, 5.773502691896258e-201),
+            (3, 1e200, 2e200, 5.493061443340548e-201),
+            # x*x underflows to zero: once a bare ZeroDivisionError
+            (1, 1e-200, 3e-200, 3.75e199),
+            (2, 1e-200, 3e-200, 3.5355339059327376e199),
+            (3, 1e-200, 3e-200, 3.4657359027997267e199),
+            # x + a overflows (and 2a in the second): once inf and NaN
+            (3, 1.5e307, 1.7e308, 5.89769027196927e-309),
+            (3, 0.97e308, 1.0e308, 2.157005896943236e-308),
+        ],
+    )
+    def test_extreme_arguments(self, d, rho, theta, expected):
+        # expected values from mpmath at 50 digits; the two D=3 values
+        # near 1e-308 are subnormal or nearly so (abs=0: approx's default
+        # absolute slack of 1e-12 would pass 0.0)
+        assert y(d, rho, theta, 1.0, 0.0) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_unrepresentable_value_refused(self, d):
+        # 1/5e-324 is past the largest float
+        with pytest.raises(DomainError, match="overflows"):
+            y(d, 0.0, 5e-324, 1.0, 0.0)
+
     def test_y3_small_rhov_limit(self):
         assert y(3, 1e-10, 2.0, 1.0, 0.5) == pytest.approx(1.0 / 2.5, rel=1e-12)
 
