@@ -378,6 +378,23 @@ def _cmd_simulate(args):
     return EXIT_OK
 
 
+def judge_runs(runs, bound, d_min, d_max, bin_width):
+    """The one chain from run records to a domination verdict; returns
+    (curve, report).  `runs` holds one record list per run.  The figure
+    curves track the propagation front, so each run's first-passage
+    records are binned into the curve and fitted on [d_min, d_max] (with
+    d_max = L/2, a full annulus fits inside the box); `check_bound`
+    judges the fit against `bound`.
+
+    The stats functions are called through this module's names, with
+    `fit_slope` given its three arguments by position, so a caller that
+    wraps `cli.front_records`, `cli.build_curve` or `cli.fit_slope` sees
+    every call."""
+    records = [rec for recs in runs for rec in front_records(recs)]
+    curve = build_curve(records, bin_width)
+    return curve, check_bound(fit_slope(records, d_min, d_max), bound)
+
+
 def _cmd_compare(args):
     config, nu = _sim_config(args)
     _defaults(args, bin_width=1.0, theoretical_scale=1.0)
@@ -393,24 +410,20 @@ def _cmd_compare(args):
     if not 0.0 < args.bin_width < math.inf:
         raise StatsError(f"bin_width must be finite and > 0, got {args.bin_width}")
     bound = speed_bound(ModelParams(d=config.d, nu=nu, v=config.v, tau=config.tau))
+    if args.theoretical_scale != 1.0:
+        # test hook: check against a scaled theoretical slowness
+        bound = dataclasses.replace(
+            bound, slowness=bound.slowness * args.theoretical_scale
+        )
     if args.out:
         _check_out(args.out)
     workers = _worker_count()
     print(f"n={config.n} L={config.box_length} dim={config.d} -> nu={nu:.12g}")
 
     results = _run_many(config, args.runs, workers)
-    # the figure curves track the propagation front, so fit the per-run
-    # first-passage records, windowed to distances where a full annulus
-    # fits inside the box
-    records = [rec for _, recs in results for rec in front_records(recs)]
-    curve = build_curve(records, args.bin_width)
-    fit = fit_slope(records, args.dmin, args.dmax)
-    if args.theoretical_scale != 1.0:
-        # test hook: check against a scaled theoretical slowness
-        bound = dataclasses.replace(
-            bound, slowness=bound.slowness * args.theoretical_scale
-        )
-    report = check_bound(fit, bound)
+    curve, report = judge_runs(
+        [recs for _, recs in results], bound, args.dmin, args.dmax, args.bin_width
+    )
     if args.out:
         with _open_out(args.out) as fh:
             write_curve(fh, curve)

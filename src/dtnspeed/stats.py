@@ -73,6 +73,15 @@ def _check_finite(records):
             raise StatsError(f"record {name} must be finite, got {getattr(rec, name)}")
 
 
+def _check_window(d_min, d_max):
+    """Refuse a distance window that is not d_min < d_max (written so that
+    NaN at either end fails): it would silently keep nothing."""
+    if not d_min < d_max:
+        raise StatsError(
+            f"fit window needs d_min < d_max, got d_min={d_min}, d_max={d_max}"
+        )
+
+
 def build_curve(records, bin_width):
     """Group records by distance bin; per-bin mean time, standard error of
     the mean, and count.  Empty input gives an empty curve."""
@@ -136,7 +145,8 @@ def fit_slope(records, d_min, d_max=math.inf):
     """Ordinary least squares of infection time on distance, restricted to
     records at distance >= d_min (and <= d_max when given).  The free
     intercept absorbs the near-field transient; the slope estimates the
-    slowness."""
+    slowness.  A window that is not d_min < d_max is refused."""
+    _check_window(d_min, d_max)
     _check_finite(records)
     kept = [r for r in records if d_min <= r.distance <= d_max]
     xs = np.asarray([r.distance for r in kept])
@@ -144,7 +154,7 @@ def fit_slope(records, d_min, d_max=math.inf):
     n = xs.size
     if n < 10:
         raise StatsError(
-            f"need at least 10 records with distance >= {d_min}, got {n}"
+            f"need at least 10 records with distance in [{d_min}, {d_max}], got {n}"
         )
     slope, intercept, sxx, rss = _ols(xs, ys)
     stderr = math.sqrt(rss / (n - 2) / sxx)
@@ -159,14 +169,18 @@ def fit_slope(records, d_min, d_max=math.inf):
 def curve_r_squared(curve, d_min, d_max=math.inf):
     """Coefficient of determination of a straight-line fit on the bin means
     with d_min <= distance_center <= d_max; measures straight-line
-    convergence."""
+    convergence.  A window that is not d_min < d_max is refused."""
+    _check_window(d_min, d_max)
     pts = [
         (b.distance_center, b.mean_time)
         for b in curve.bins
         if d_min <= b.distance_center <= d_max
     ]
     if len(pts) < 3:
-        raise StatsError(f"need at least 3 bins past d_min={d_min}, got {len(pts)}")
+        raise StatsError(
+            f"need at least 3 bins with distance_center in [{d_min}, {d_max}], "
+            f"got {len(pts)}"
+        )
     xs = np.asarray([p[0] for p in pts])
     ys = np.asarray([p[1] for p in pts])
     rss = _ols(xs, ys)[3]

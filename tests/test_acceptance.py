@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from dtnspeed.cli import judge_runs
 from dtnspeed.kernel import (
     BoundStatus,
     KernelPoint,
@@ -23,13 +24,7 @@ from dtnspeed.kernel import (
 )
 from dtnspeed.sim import SimConfig, advance, flood, init_world, run_epidemic
 from dtnspeed.specfun import UNIT_BALL_VOLUME, bessel_i0, bessel_i1, psi, xi, y
-from dtnspeed.stats import (
-    build_curve,
-    check_bound,
-    curve_r_squared,
-    fit_slope,
-    front_records,
-)
+from dtnspeed.stats import curve_r_squared
 
 from test_kernel import bisect_theta
 from test_sim import bfs_oracle
@@ -266,34 +261,30 @@ def test_criterion_7_figure_scenarios(tau, nu, L):
     start = time.perf_counter()
     n = round(nu * L * L)
     cfg = SimConfig(d=2, box_length=L, n=n, v=1.0, tau=tau, dt=0.05, t_max=1000.0)
-    records = [rec for run in run_epidemic(cfg, runs=100) for rec in front_records(run)]
-    d_min, d_max = 5.0, L / 2.0
-    fit = fit_slope(records, d_min, d_max)
-    curve = build_curve([r for r in records if r.distance <= d_max], 2.0)
-    r2 = curve_r_squared(curve, d_min, d_max)
     bound = speed_bound(ModelParams(d=2, nu=nu, v=1.0, tau=tau))
-    verdict = check_bound(fit, bound)
+    d_min, d_max = 5.0, L / 2.0
+    curve, verdict = judge_runs(run_epidemic(cfg, runs=100), bound, d_min, d_max, 2.0)
+    r2 = curve_r_squared(curve, d_min, d_max)
     elapsed = time.perf_counter() - start
     ok = verdict.passed and r2 > 0.95 and elapsed < 600.0
     report(
         f"7 (nu={nu}, L={L:.0f}, tau={tau})",
         ok,
-        f"fitted slowness {fit.slope:.3f}+-{fit.slope_std_error:.3f} vs "
+        f"fitted slowness {verdict.fitted_slowness:.3f}+-{verdict.stderr:.3f} vs "
         f"theoretical {verdict.theoretical_slowness:.3f}, R2={r2:.3f}, {elapsed:.0f}s",
     )
 
 
 def test_criterion_8_dt_refinement_stability():
     start = time.perf_counter()
+    bound = speed_bound(ModelParams(2, 0.1, 1.0, 0.0))  # nu = 160 / 40**2
     slopes = {}
     for dt in (0.05, 0.025):
         cfg = SimConfig(
             d=2, box_length=40.0, n=160, v=1.0, tau=0.0, dt=dt, t_max=1000.0
         )
-        records = [
-            rec for run in run_epidemic(cfg, runs=20) for rec in front_records(run)
-        ]
-        slopes[dt] = fit_slope(records, 5.0, 20.0).slope
+        verdict = judge_runs(run_epidemic(cfg, runs=20), bound, 5.0, 20.0, 2.0)[1]
+        slopes[dt] = verdict.fitted_slowness
     change = abs(slopes[0.025] - slopes[0.05]) / slopes[0.05]
     elapsed = time.perf_counter() - start
     ok = change < 0.05 and elapsed < 600.0

@@ -330,6 +330,18 @@ class TestCompare:
         assert run_cli(*self.ARGS, "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_too_few_front_records_is_one_error_line(self, tmp_path, capsys):
+        # the fit runs before the curve is written: one run of this box
+        # has 3 front records in [5, 10], so compare writes no curve
+        out = tmp_path / "curve.csv"
+        code = run_cli(*self.ARGS, "--runs", "1", "--out", str(out))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == (
+            "error: need at least 10 records with distance in [5.0, 10.0], got 3\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flags,message",
         [
@@ -354,6 +366,32 @@ class TestCompare:
         assert message in captured.err
         assert len(captured.err.splitlines()) == 1
         assert captured.out == ""
+
+
+def test_judge_runs_calls_the_names_perfbench_wraps(monkeypatch):
+    # perfbench times the stats layers by wrapping these cli globals, and
+    # reads the fit window from fit_slope's first three positional arguments
+    calls = {}
+
+    def recorder(name):
+        original = getattr(cli, name)
+
+        def wrapped(*args, **kwargs):
+            calls.setdefault(name, []).append((args, kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, wrapped)
+
+    for name in ("front_records", "build_curve", "fit_slope"):
+        recorder(name)
+    config = SimConfig(d=2, box_length=20.0, n=40, v=1.0, tau=0.0, t_max=300.0)
+    bound = cli.speed_bound(cli.ModelParams(d=2, nu=0.1, v=1.0, tau=0.0))
+    curve, report = cli.judge_runs(run_epidemic(config, runs=5), bound, 5.0, 10.0, 1.0)
+    assert len(calls["front_records"]) == 5
+    assert len(calls["build_curve"]) == 1
+    [(args, kwargs)] = calls["fit_slope"]
+    assert len(args) == 3 and args[1:] == (5.0, 10.0) and kwargs == {}
+    assert curve.bins and report.theoretical_slowness == bound.slowness
 
 
 @pytest.mark.parametrize(

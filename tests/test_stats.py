@@ -109,8 +109,12 @@ class TestFitSlope:
         assert abs(fit.slope - 0.8) < 3.0 * fit.slope_std_error
 
     def test_too_few_records(self):
-        with pytest.raises(StatsError, match="at least 10"):
-            fit_slope([rec(1.0, 1.0)] * 9, 0.0)
+        # the message names the whole window, in the shape perfbench parses
+        with pytest.raises(StatsError) as err:
+            fit_slope([rec(1.0, 1.0)] * 9 + [rec(2.0, 20.0)], 0.0, 12.0)
+        assert str(err.value) == (
+            "need at least 10 records with distance in [0.0, 12.0], got 9"
+        )
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("field", ["distance", "infection_time"])
@@ -198,8 +202,34 @@ class TestCurveRSquared:
 
     def test_needs_three_bins(self):
         curve = build_curve([rec(1.0, 0.5), rec(2.0, 1.5)], 1.0)
-        with pytest.raises(StatsError):
+        with pytest.raises(StatsError, match=r"in \[0.0, inf\], got 2"):
             curve_r_squared(curve, 0.0)
+
+    @pytest.mark.parametrize("d_max", [20.0, 30.0, 40.0])
+    def test_uncropped_curve_gives_the_same_value(self, d_max):
+        # with d_max a multiple of the bin width, no bin whose center is in
+        # the window holds a record past d_max: cropping the records at
+        # d_max first leaves R^2 bit-equal, records at d_max and one ulp
+        # below it included
+        records = synthetic_line(1.2, 3.0, 2000, 2.0, seed=4)
+        edge = math.nextafter(d_max, 0.0)
+        records += [rec(1.2 * d + 7.0, d, node=1) for d in (d_max, edge) * 5]
+        cropped = [r for r in records if r.distance <= d_max]
+        assert len(cropped) < len(records)
+        full = curve_r_squared(build_curve(records, 2.0), 5.0, d_max)
+        assert full == curve_r_squared(build_curve(cropped, 2.0), 5.0, d_max)
+
+
+@pytest.mark.parametrize("d_min,d_max", [(8.0, 2.0), (5.0, 5.0), (math.nan, 20.0),
+                                         (5.0, math.nan), (math.inf, math.inf)])
+@pytest.mark.parametrize("statistic", ["fit_slope", "curve_r_squared"])
+def test_window_not_increasing_is_refused(statistic, d_min, d_max):
+    # an empty or NaN window used to read as too few records past d_min
+    records = synthetic_line(2.0, 1.0, 200, 0.1)
+    data = records if statistic == "fit_slope" else build_curve(records, 2.0)
+    with pytest.raises(StatsError, match="fit window needs d_min < d_max") as err:
+        getattr(stats, statistic)(data, d_min, d_max)
+    assert f"d_min={d_min}, d_max={d_max}" in str(err.value)
 
 
 def finite_bound(speed):
