@@ -23,6 +23,8 @@ from .sim import ConfigError, SimConfig, run_epidemic
 from .specfun import DomainError
 from .stats import (
     StatsError,
+    _check_bin_width,
+    _check_window,
     build_curve,
     check_bound,
     fit_slope,
@@ -53,14 +55,12 @@ def _build_parser():
         p.add_argument("--v", type=float, default=None, help="node speed")
         p.add_argument("--tau", type=float, default=None, help="direction change rate")
 
-    def common_flags(p):
-        p.add_argument("--config", default=None, help="JSON config file; flags win")
+    def out_flag(p):
         p.add_argument("--out", default=None, help="output CSV path")
 
     p = sub.add_parser("bound", help="analytical speed bound for one parameter set")
     model_flags(p)
     p.add_argument("--nu", type=float, default=None, help="node density")
-    common_flags(p)
 
     p = sub.add_parser("sweep", help="slowness vs density sweep (figure data)")
     model_flags(p)
@@ -68,7 +68,7 @@ def _build_parser():
     p.add_argument("--nu-min", type=float, default=None)
     p.add_argument("--nu-max", type=float, default=None)
     p.add_argument("--nu-points", type=int, default=None)
-    common_flags(p)
+    out_flag(p)
 
     def sim_flags(p):
         model_flags(p)
@@ -83,7 +83,7 @@ def _build_parser():
 
     p = sub.add_parser("simulate", help="epidemic broadcast runs, records to CSV")
     sim_flags(p)
-    common_flags(p)
+    out_flag(p)
 
     p = sub.add_parser("compare", help="simulate, fit slowness, check domination")
     sim_flags(p)
@@ -96,8 +96,10 @@ def _build_parser():
     p.add_argument(
         "--theoretical-scale", type=float, default=None, help=argparse.SUPPRESS
     )
-    common_flags(p)
+    out_flag(p)
 
+    for p in sub.choices.values():
+        p.add_argument("--config", default=None, help="JSON config file; flags win")
     parser.commands = sub.choices  # name -> subparser, whose flag types --config uses
     return parser
 
@@ -332,32 +334,31 @@ def write_curve(stream, curve):
                 for b in curve.bins))
 
 
-def _write_sweep(stream, params):
-    """One row per ModelParams.  Rows are computed as they are written, so
-    a density whose bound raises leaves the rows before it in place."""
-
-    def rows():
-        for p in params:
-            bound = speed_bound(p)
-            point = bound.argmin
-            rho0, theta0 = (point.rho, point.theta) if point else (None, None)
-            yield p.nu, bound.slowness, bound.speed, rho0, theta0, bound.status.value
-
-    _write_csv(stream, "nu,slowness,speed,rho0,theta0,status", rows())
+def _sweep_row(params):
+    """One sweep CSV row: the density and its bound."""
+    bound = speed_bound(params)
+    point = bound.argmin
+    rho0, theta0 = (point.rho, point.theta) if point else (None, None)
+    return params.nu, bound.slowness, bound.speed, rho0, theta0, bound.status.value
 
 
 def _cmd_sweep(args):
-    """Write the sweep CSV to --out, or to stdout when --out is absent."""
+    """Write the sweep CSV to --out, or to stdout when --out is absent.
+    Every row is computed before the header is written, so a density
+    whose bound raises leaves no output."""
     _required(args, ["dim", "v", "tau"])
-    # every density is refused here, before the header is written
     params = [ModelParams(d=args.dim, nu=nu, v=args.v, tau=args.tau)
               for nu in _parse_nu_grid(args)]
+    if args.out is not None:
+        _check_out(args.out)
+    rows = [_sweep_row(p) for p in params]
+    header = "nu,slowness,speed,rho0,theta0,status"
     if args.out is None:
-        _write_sweep(sys.stdout, params)
+        _write_csv(sys.stdout, header, rows)
         return EXIT_OK
     with _open_out(args.out) as fh:
-        _write_sweep(fh, params)
-    print(f"wrote {len(params)} rows to {args.out}")
+        _write_csv(fh, header, rows)
+    print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
 
 
@@ -397,18 +398,16 @@ def judge_runs(runs, bound, d_min, d_max, bin_width):
 
 def _cmd_compare(args):
     config, nu = _sim_config(args)
-    _defaults(args, bin_width=1.0, theoretical_scale=1.0)
-    if args.dmin is None:
-        args.dmin = 5.0 * config.radio_range
-    if args.dmax is None:
-        args.dmax = 0.5 * config.box_length
-    # refuse a bad fit window, bin width or bound before any simulation
-    if not args.dmin < args.dmax:
-        raise StatsError(
-            f"fit window needs dmin < dmax, got dmin={args.dmin} >= dmax={args.dmax}"
+    if config.radio_range != 1.0:
+        raise ConfigError(
+            "compare's bound is derived for radio range 1, "
+            f"got range={config.radio_range}"
         )
-    if not 0.0 < args.bin_width < math.inf:
-        raise StatsError(f"bin_width must be finite and > 0, got {args.bin_width}")
+    _defaults(args, bin_width=1.0, theoretical_scale=1.0, dmin=5.0,
+              dmax=0.5 * config.box_length)
+    # refuse a bad fit window, bin width or bound before any simulation
+    _check_window(args.dmin, args.dmax)
+    _check_bin_width(args.bin_width)
     bound = speed_bound(ModelParams(d=config.d, nu=nu, v=config.v, tau=config.tau))
     if args.theoretical_scale != 1.0:
         # test hook: check against a scaled theoretical slowness

@@ -48,9 +48,6 @@ from typing import List, Optional
 
 import numpy as np
 
-CENTER = "center"
-UNIFORM_RANDOM = "uniform"
-
 
 class ConfigError(ValueError):
     """A simulation configuration violates its invariants."""
@@ -72,7 +69,6 @@ class SimConfig:
     dt: float = 0.05
     t_max: float = 1000.0
     seed: int = 0
-    source_placement: str = CENTER
 
     def __post_init__(self):
         # written so that NaN fails every check; every float must be finite
@@ -109,11 +105,6 @@ class SimConfig:
             problems.append(f"t_max must be finite and > 0, got {self.t_max}")
         if not _is_int(self.seed) or not self.seed >= 0:
             problems.append(f"seed must be an integer >= 0, got {self.seed!r}")
-        if self.source_placement not in (CENTER, UNIFORM_RANDOM):
-            problems.append(
-                f"source_placement must be {CENTER!r} or {UNIFORM_RANDOM!r}, "
-                f"got {self.source_placement!r}"
-            )
         if problems:
             raise ConfigError("; ".join(problems))
 
@@ -175,8 +166,8 @@ def _turn_increment(rng, tau):
 
 def init_world(config):
     """Build the t = 0 world: uniform positions, isotropic directions,
-    exponential turn schedule, source infected at time 0.  Deterministic
-    given the seed."""
+    exponential turn schedule, and the source, node 0, at the centre of
+    the box and infected at time 0.  Deterministic given the seed."""
     n, d, length = config.n, config.d, config.box_length
     root = np.random.SeedSequence(config.seed)
     children = root.spawn(n + 1)
@@ -184,8 +175,7 @@ def init_world(config):
     node_rngs = [np.random.Generator(np.random.PCG64(c)) for c in children[1:]]
 
     positions = placement_rng.uniform(0.0, length, size=(n, d))
-    if config.source_placement == CENTER:
-        positions[0] = 0.5 * length
+    positions[0] = 0.5 * length
 
     directions = np.empty((n, d))
     next_turn = np.empty(n)

@@ -82,11 +82,17 @@ def _check_window(d_min, d_max):
         )
 
 
+def _check_bin_width(bin_width):
+    """Refuse a bin width that is not finite and > 0 (written so that NaN
+    fails it): no record could be binned by it."""
+    if not 0.0 < bin_width < math.inf:
+        raise StatsError(f"bin_width must be finite and > 0, got {bin_width}")
+
+
 def build_curve(records, bin_width):
     """Group records by distance bin; per-bin mean time, standard error of
     the mean, and count.  Empty input gives an empty curve."""
-    if not 0.0 < bin_width < math.inf:
-        raise StatsError(f"bin_width must be finite and > 0, got {bin_width}")
+    _check_bin_width(bin_width)
     _check_finite(records)
     groups = {}
     for rec in records:

@@ -223,7 +223,6 @@ def test_criterion_6_simulator_physics():
             dt=0.05,
             t_max=1.0,
             seed=int(rng.integers(0, 2**32)),
-            source_placement="uniform",
         )
         world = init_world(snap)
         seeds = set(map(int, rng.choice(n, size=int(rng.integers(1, 4)), replace=False)))

@@ -45,6 +45,17 @@ class TestBound:
         out = capsys.readouterr().out
         assert "slowness: inf (zero density with tau > 0)" in out.splitlines()
 
+    def test_out_is_refused(self, tmp_path, monkeypatch, capsys):
+        # bound prints and writes nothing, so it takes no --out
+        monkeypatch.chdir(tmp_path)
+        code = run_cli("bound", "--dim", "2", "--nu", "0.1", "--v", "1", "--tau", "0",
+                       "--out", "x.csv")
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "usage error: unrecognized arguments: --out x.csv\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flags", [["--dim", "x"], ["--bogus", "1"]])
     def test_parser_error_is_one_usage_line(self, flags, capsys):
         code = run_cli("bound", "--nu", "0.1", "--v", "1", "--tau", "0", *flags)
@@ -220,6 +231,20 @@ class TestSweep:
             assert captured.out == ""
             assert not out.exists()
 
+    def test_a_density_that_raises_leaves_no_rows(self, tmp_path, capsys):
+        # 0.1 has a bound, 1e-14 is a domain error: not even the 0.1 row or
+        # the header is written, to stdout or to --out
+        out = tmp_path / "sweep.csv"
+        for extra in ((), ("--out", str(out))):
+            code = run_cli("sweep", "--dim", "2", "--v", "1", "--tau", "0.1",
+                           "--nu-grid", "0.1,1e-14", *extra)
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.err.startswith("error: density 1e-14 is too small")
+            assert len(captured.err.splitlines()) == 1
+            assert captured.out == ""
+            assert not out.exists()
+
     @pytest.mark.parametrize("dim", [1, 3])
     def test_other_dimensions_smoke(self, dim, tmp_path):
         from dtnspeed.kernel import KernelPoint, ModelParams, kernel_residual
@@ -286,6 +311,17 @@ class TestSimulate:
         assert "--runs must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_radio_range_other_than_one(self, tmp_path, capsys):
+        out = tmp_path / "records.csv"
+        code = run_cli(
+            "simulate", "--dim", "2", "--L", "30", "--n", "40", "--range", "2",
+            "--v", "1", "--tau", "0", "--tmax", "50", "--out", str(out),
+        )
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "run_seed,node_id,infection_time,distance"
+        assert len(lines) > 2
+
     @pytest.mark.parametrize("command", ["simulate", "compare"])
     def test_negative_seed_is_refused_before_any_output(self, command, tmp_path, capsys):
         # a typed error and exit 2, not numpy's traceback, and no CSV
@@ -345,8 +381,8 @@ class TestCompare:
     @pytest.mark.parametrize(
         "flags,message",
         [
-            (("--dmin", "8", "--dmax", "2"), "dmin=8.0 >= dmax=2.0"),
-            (("--dmin", "3", "--dmax", "3"), "dmin=3.0 >= dmax=3.0"),
+            (("--dmin", "8", "--dmax", "2"), "d_min=8.0, d_max=2.0"),
+            (("--dmin", "3", "--dmax", "3"), "d_min=3.0, d_max=3.0"),
             (("--bin-width", "nan"), "bin_width must be finite and > 0"),
             (("--bin-width", "0"), "bin_width must be finite and > 0"),
             (("--tau", "0.1", "--L", "1e10", "--n", "2"), "too small for tau"),
@@ -366,6 +402,34 @@ class TestCompare:
         assert message in captured.err
         assert len(captured.err.splitlines()) == 1
         assert captured.out == ""
+
+    @pytest.mark.parametrize("radio_range", [2.0, 0.5])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_radio_range_other_than_one_is_refused_before_any_run(
+        self, radio_range, source, tmp_path, monkeypatch, capsys
+    ):
+        # the bound is derived for unit radio range: any other range is one
+        # error line, exit 2, before any output or simulation
+        def refuse(*args):
+            raise AssertionError("compare simulated at a range its bound is not for")
+
+        monkeypatch.setattr(cli, "run_epidemic", refuse)
+        out = tmp_path / "curve.csv"
+        if source == "flag":
+            extra = ("--range", str(radio_range))
+        else:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"range": radio_range}))
+            extra = ("--config", str(path))
+        code = run_cli(*self.ARGS, *extra, "--out", str(out))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == (
+            "error: compare's bound is derived for radio range 1, "
+            f"got range={radio_range}\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
 
 
 def test_judge_runs_calls_the_names_perfbench_wraps(monkeypatch):
@@ -406,21 +470,22 @@ def test_judge_runs_calls_the_names_perfbench_wraps(monkeypatch):
 )
 def test_unwritable_out_is_one_usage_line(argv, tmp_path, capsys, monkeypatch):
     # like an unreadable --config: one line, exit 1, no traceback, and
-    # refused before any output or simulation, whether its directory is
-    # missing or a file, or it is a directory itself, or (simulate and
-    # compare, which check it first; sweep opens it) it is not writable
+    # refused before any output, sweep row or simulation, whether its
+    # directory is missing or a file, or it is a directory itself, or it
+    # is not writable
     def refuse(*args, **kwargs):
-        raise AssertionError("simulated before checking --out")
+        raise AssertionError("computed before checking --out")
 
     monkeypatch.setattr(cli, "run_epidemic", refuse)
+    if argv[0] == "sweep":  # compare refuses a bad bound first
+        monkeypatch.setattr(cli, "speed_bound", refuse)
     (tmp_path / "file").write_text("")
     targets = [(tmp_path / "missing" / "x.csv", "No such file or directory"),
                (tmp_path / "file" / "x.csv", "Not a directory"),
                (tmp_path, "Is a directory")]
-    if argv[0] != "sweep":
-        # mode bits do not stop root: make os.access deny the directory
-        monkeypatch.setattr(cli.os, "access", lambda *args, **kwargs: False)
-        targets.append((tmp_path / "x.csv", "Permission denied"))
+    # mode bits do not stop root: make os.access deny the directory
+    monkeypatch.setattr(cli.os, "access", lambda *args, **kwargs: False)
+    targets.append((tmp_path / "x.csv", "Permission denied"))
     for out, reason in targets:
         code = run_cli(*argv, "--out", str(out))
         captured = capsys.readouterr()

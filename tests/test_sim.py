@@ -7,8 +7,6 @@ import pytest
 from dtnspeed.cli import write_records
 import dtnspeed.sim as sim_module
 from dtnspeed.sim import (
-    CENTER,
-    UNIFORM_RANDOM,
     ConfigError,
     InfectionRecord,
     SimConfig,
@@ -219,10 +217,6 @@ class TestSimConfig:
             small_config(dt=0.2)
         small_config(dt=0.1)  # boundary is allowed
 
-    def test_bad_placement(self):
-        with pytest.raises(ConfigError):
-            small_config(source_placement="corner")
-
 
 class TestInitWorld:
     def test_deterministic(self):
@@ -246,13 +240,9 @@ class TestInitWorld:
         assert np.all(np.isfinite(w.next_turn_time))
 
     def test_source_at_center(self):
-        w = init_world(small_config(source_placement=CENTER))
+        w = init_world(small_config())
         assert np.allclose(w.positions[0], 5.0)
         assert np.allclose(w.source_origin, 5.0)
-
-    def test_uniform_source_left_in_place(self):
-        w = init_world(small_config(source_placement=UNIFORM_RANDOM, seed=9))
-        assert not np.allclose(w.positions[0], 5.0)
 
     def test_source_infected_at_zero(self):
         w = init_world(small_config())
@@ -290,11 +280,11 @@ class TestInitWorld:
                 dt=0.05,
                 t_max=1.0,
                 seed=123,
-                source_placement=UNIFORM_RANDOM,
             )
         )
-        sigma = L / math.sqrt(12.0 * n)
-        assert np.all(np.abs(w.positions.mean(axis=0) - L / 2.0) < 3.0 * sigma)
+        # every node but the source, which sits at the centre
+        sigma = L / math.sqrt(12.0 * (n - 1))
+        assert np.all(np.abs(w.positions[1:].mean(axis=0) - L / 2.0) < 3.0 * sigma)
 
 
 class TestAdvance:
@@ -559,7 +549,6 @@ class TestFlood:
         cfg = SimConfig(
             d=d, box_length=box_length, n=int(rng.integers(5, 60)), v=1.0,
             tau=0.0, dt=0.05, t_max=1.0, radio_range=radio_range, seed=seed,
-            source_placement=UNIFORM_RANDOM,
         )
         w = init_world(cfg)
         flood(w)
@@ -1172,6 +1161,25 @@ class TestRunEpidemic:
                 # finer sampling can only catch contacts earlier, and the
                 # coarse run can lag by contact-detection granularity
                 assert coarse_times[node] >= t_fine - 1e-9
+
+    @pytest.mark.parametrize(
+        "d,box_length,n,tau", [(1, 40.0, 12, 0.5), (2, 20.0, 40, 0.0),
+                               (2, 20.0, 40, 0.3), (3, 8.0, 40, 1.0)]
+    )
+    def test_radio_range_is_a_length_unit(self, d, box_length, n, tau):
+        # doubling the box, the range and the speed doubles every length
+        # exactly (a power of two) and leaves every time alone: the same
+        # nodes are infected at the same times, at twice the distance
+        kwargs = dict(d=d, n=n, tau=tau, t_max=200.0, seed=3)
+        unit = run_epidemic(SimConfig(**kwargs, box_length=box_length, v=1.0), runs=4)
+        doubled = run_epidemic(
+            SimConfig(**kwargs, box_length=2.0 * box_length, radio_range=2.0, v=2.0),
+            runs=4,
+        )
+        assert doubled == [
+            [replace(r, distance=2.0 * r.distance) for r in records] for records in unit
+        ]
+        assert any(len(records) > 1 for records in unit)
 
 
 class TestLockstep:
