@@ -87,8 +87,10 @@ def _build_parser():
 
     p = sub.add_parser("compare", help="simulate, fit slowness, check domination")
     sim_flags(p)
-    p.add_argument("--bin-width", type=float, default=None)
-    p.add_argument("--dmin", type=float, default=None, help="fit window lower edge")
+    p.add_argument("--bin-width", type=float, default=None,
+                   help="curve bin width (default one radio range)")
+    p.add_argument("--dmin", type=float, default=None,
+                   help="fit window lower edge (default 5 radio ranges)")
     p.add_argument(
         "--dmax", type=float, default=None, help="fit window upper edge (default L/2)"
     )
@@ -259,11 +261,15 @@ def _format_bound(params, bound):
         lines.append(f"slowness: {bound.slowness:.12g}")
         rho0, theta0 = bound.argmin.rho, bound.argmin.theta
         lines.append(f"argmin: rho0={rho0:.12g} theta0={theta0:.12g}")
-        if math.isfinite(rho0):
+        if not math.isfinite(rho0):
+            lines.append("argmin is the rho->inf degenerate sentinel (nu=0, tau=0)")
+        elif params.tau + theta0 > rho0 * params.v:
             residual = kernel_residual(params, KernelPoint(rho0, theta0))
             lines.append(f"kernel residual at argmin: {residual:.3g}")
         else:
-            lines.append("argmin is the rho->inf degenerate sentinel (nu=0, tau=0)")
+            # speed exactly v: the argmin is on the edge of Y's domain
+            lines.append("kernel residual at argmin: undefined (tau + theta0 = "
+                         "rho0*v, the edge of Y's convergence region)")
     elif bound.status == BoundStatus.UNBOUNDED:
         lines.append("slowness: 0 (density at or above 1/V_D)")
     else:
@@ -397,23 +403,26 @@ def judge_runs(runs, bound, d_min, d_max, bin_width):
 
 
 def _cmd_compare(args):
+    """The bound takes the radio range r as its unit of length: a run at
+    range r is judged against the unit-range bound at density nu*r**D
+    and speed v/r, its slowness divided by r.  For r a power of two this
+    is exact: compare at (r*L, n, r*v, range r) writes the unit-range
+    curve with every distance times r, and a verdict whose slownesses
+    are the unit ones divided by r."""
     config, nu = _sim_config(args)
-    if config.radio_range != 1.0:
-        raise ConfigError(
-            "compare's bound is derived for radio range 1, "
-            f"got range={config.radio_range}"
-        )
-    _defaults(args, bin_width=1.0, theoretical_scale=1.0, dmin=5.0,
+    r = config.radio_range
+    _defaults(args, bin_width=r, theoretical_scale=1.0, dmin=5.0 * r,
               dmax=0.5 * config.box_length)
     # refuse a bad fit window, bin width or bound before any simulation
     _check_window(args.dmin, args.dmax)
     _check_bin_width(args.bin_width)
-    bound = speed_bound(ModelParams(d=config.d, nu=nu, v=config.v, tau=config.tau))
-    if args.theoretical_scale != 1.0:
-        # test hook: check against a scaled theoretical slowness
-        bound = dataclasses.replace(
-            bound, slowness=bound.slowness * args.theoretical_scale
-        )
+    bound = speed_bound(
+        ModelParams(d=config.d, nu=nu * r**config.d, v=config.v / r, tau=config.tau)
+    )
+    # --theoretical-scale is a test hook: it scales the theoretical
+    # slowness to exercise the fail path
+    scale = args.theoretical_scale / r
+    bound = dataclasses.replace(bound, slowness=bound.slowness * scale)
     if args.out:
         _check_out(args.out)
     workers = _worker_count()

@@ -390,7 +390,11 @@ def speed_bound(params):
         )
     rho0 = _minimize_ratio(params, pole_rho(params))
     theta0 = theta_of_rho(params, rho0)
-    if theta0 < _THETA_ULPS * sys.float_info.epsilon * (params.tau + theta0):
+    # D=1 and D=2 square A(rho) >= tau: once tau**2 overflows, theta is
+    # inf at every rho whatever v is, as lost to tau as in D=3
+    if theta0 < _THETA_ULPS * sys.float_info.epsilon * (params.tau + theta0) or (
+        params.d < 3 and params.tau * params.tau == math.inf
+    ):
         raise DomainError(
             f"density {params.nu} is too small for tau = {params.tau}: "
             f"theta = {theta0:.3g} is lost to rounding against tau"
@@ -409,16 +413,15 @@ def speed_bound(params):
 
 
 def asymptotic_speed_random_walk(params):
-    """Sparse-density random-walk estimate v*sqrt(2*nu*H(0)/tau), D=2 only.
+    """Sparse-density random-walk estimate v*sqrt(4*nu*H(0)/(D*tau)).
 
-    H(0) = 4*pi*v / (1 - pi*nu) is the zero-rho limit of the coupling
-    function behind the random-walk corollary.
+    H(0) = 2*v*Xi_D(0) / (1 - nu*V_D) is the zero-rho limit of the
+    coupling function behind the random-walk corollary; near rho = 0,
+    theta = nu*H(0) + (rho*v)**2/(D*tau), whose least theta/rho this is.
     """
-    if params.d != 2:
-        raise DomainError("random-walk asymptotic is derived for D=2 only")
     if params.tau <= 0.0:
         raise DomainError("random-walk asymptotic requires tau > 0")
     if params.nu >= params.threshold:
-        raise DomainError("density must be below 1/pi")
-    h0 = 4.0 * math.pi * params.v / (1.0 - math.pi * params.nu)
-    return params.v * math.sqrt(2.0 * params.nu * h0 / params.tau)
+        raise DomainError(f"density must be below 1/V_D = {params.threshold}")
+    h0 = 2.0 * params.v * xi(params.d, 0.0) / (1.0 - params.nu * UNIT_BALL_VOLUME[params.d])
+    return params.v * math.sqrt(4.0 * params.nu * h0 / (params.d * params.tau))

@@ -435,8 +435,11 @@ def _run_pairs(points, near, far, reach, n):
 # query finds and the watch list each flood compares.  At K = 32 with the
 # cell-local query, against K = 8 with a dense candidate x target block per
 # run, perfbench read `figure` pass_s 1.182 -> 1.037 s and `large-n` 0.535
-# -> 0.484 s (medians of 10 and 8 alternating pairs, 2-core x86-64); K = 64
-# did no better on `large-n` in process.  The records do not depend on K.
+# -> 0.484 s (medians of 10 and 8 alternating pairs, 2-core x86-64).  K = 64
+# is no better: in 10 alternating perfbench pairs against K = 32 (--seconds
+# 15, seed 0, same machine) it won 5 on `figure` (median pass_s 0.945 vs
+# 0.950 s) and 6 on `large-n` (0.449 vs 0.449 s), within the noise.  The
+# records do not depend on K.
 _HORIZON_STEPS = 32
 
 

@@ -185,9 +185,21 @@ def test_criterion_5_random_walk_asymptotic():
     start = time.perf_counter()
     p = ModelParams(d=2, nu=1e-5, v=1.0, tau=0.1)
     ratio = speed_bound(p).speed / asymptotic_speed_random_walk(p)
+    # the asymptote in every D, within 1%
+    ratios = {
+        (d, tau): speed_bound(q).speed / asymptotic_speed_random_walk(q)
+        for d in (1, 2, 3)
+        for tau in (0.1, 1.0)
+        for q in [ModelParams(d=d, nu=1e-5, v=1.0, tau=tau)]
+    }
     elapsed = time.perf_counter() - start
-    ok = 0.95 <= ratio <= 1.05 and elapsed < 1.0
-    report(5, ok, f"full/asymptotic ratio {ratio:.4f}, {elapsed:.2f}s")
+    ok = (
+        0.95 <= ratio <= 1.05
+        and all(0.99 <= x <= 1.01 for x in ratios.values())
+        and elapsed < 1.0
+    )
+    every_d = ", ".join(f"D={d} tau={tau}: {x:.5f}" for (d, tau), x in ratios.items())
+    report(5, ok, f"full/asymptotic ratio {ratio:.4f} ({every_d}), {elapsed:.2f}s")
 
 
 def test_criterion_6_simulator_physics():

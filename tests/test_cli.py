@@ -33,6 +33,20 @@ class TestBound:
         residual = float(out.split("kernel residual at argmin:")[1].strip())
         assert abs(residual) < 1e-9
 
+    @pytest.mark.parametrize("nu", ["1e-3", "2e-3"])
+    def test_speed_exactly_v_prints_bound_and_undefined_residual(self, nu, capsys):
+        # in D=3 at tau = 0 and these densities the bound is speed v, so
+        # tau + theta0 = rho0*v: the residual's Y is not defined there
+        code = run_cli("bound", "--dim", "3", "--nu", nu, "--v", "1", "--tau", "0")
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert captured.err == ""
+        assert "status: finite\nspeed: 1\nslowness: 1\n" in captured.out
+        assert captured.out.splitlines()[-1] == (
+            "kernel residual at argmin: undefined (tau + theta0 = rho0*v, "
+            "the edge of Y's convergence region)"
+        )
+
     def test_missing_flags(self, capsys):
         assert run_cli("bound", "--dim", "2") == 1
 
@@ -403,33 +417,46 @@ class TestCompare:
         assert len(captured.err.splitlines()) == 1
         assert captured.out == ""
 
+    @staticmethod
+    def compare_outputs(argv, out, capsys):
+        """Exit code, JSON verdict and curve rows of one compare."""
+        code = run_cli(*argv, "--out", str(out))
+        report = json.loads(capsys.readouterr().out.splitlines()[-1])
+        lines = out.read_text().splitlines()
+        return code, report, lines[0], [line.split(",") for line in lines[1:]]
+
+    @pytest.mark.parametrize("scale", [None, "50"])
     @pytest.mark.parametrize("radio_range", [2.0, 0.5])
     @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_radio_range_other_than_one_is_refused_before_any_run(
-        self, radio_range, source, tmp_path, monkeypatch, capsys
+    def test_radio_range_is_the_unit_of_length(
+        self, radio_range, source, scale, tmp_path, capsys
     ):
-        # the bound is derived for unit radio range: any other range is one
-        # error line, exit 2, before any output or simulation
-        def refuse(*args):
-            raise AssertionError("compare simulated at a range its bound is not for")
-
-        monkeypatch.setattr(cli, "run_epidemic", refuse)
-        out = tmp_path / "curve.csv"
+        # compare at (r*L, n, r*v, range r) is the unit-range compare with
+        # every length times r: the same curve with its distances times r,
+        # slownesses divided by r, and the same verdict and exit code (a
+        # power of two r makes this exact)
+        r = radio_range
+        hook = () if scale is None else ("--theoretical-scale", scale)
+        unit = self.compare_outputs((*self.ARGS, *hook), tmp_path / "unit.csv", capsys)
         if source == "flag":
-            extra = ("--range", str(radio_range))
+            extra = ("--range", repr(r))
         else:
             path = tmp_path / "cfg.json"
-            path.write_text(json.dumps({"range": radio_range}))
+            path.write_text(json.dumps({"range": r}))
             extra = ("--config", str(path))
-        code = run_cli(*self.ARGS, *extra, "--out", str(out))
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.err == (
-            "error: compare's bound is derived for radio range 1, "
-            f"got range={radio_range}\n"
-        )
-        assert captured.out == ""
-        assert not out.exists()
+        # a repeated flag's last value wins: --L 20 and --v 1 become r*20 and r
+        argv = (*self.ARGS, "--L", repr(20.0 * r), "--v", repr(r), *extra, *hook)
+        code, report, header, rows = self.compare_outputs(argv, tmp_path / "r.csv", capsys)
+        unit_code, unit_report, unit_header, unit_rows = unit
+        assert unit_code == (0 if scale is None else 3)
+        assert (code, report["pass"]) == (unit_code, unit_report["pass"])
+        for key in ("theoretical_slowness", "fitted_slowness", "stderr", "margin"):
+            assert report[key] == unit_report[key] / r, key
+        assert header == unit_header
+        assert len(rows) == len(unit_rows) > 5
+        for row, unit_row in zip(rows, unit_rows):
+            assert float(row[0]) == r * float(unit_row[0])
+            assert row[1:] == unit_row[1:]
 
 
 def test_judge_runs_calls_the_names_perfbench_wraps(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -400,6 +401,14 @@ class TestSpeedBound:
             assert 0.0 < b.slowness < math.inf
         assert refused == {1, 2}
 
+    @pytest.mark.parametrize("tau", [1e155, 1e200])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_huge_tau_is_a_density_too_small_for_tau(self, d, tau):
+        # D=1 and D=2 square A(rho) >= tau, which overflows past about
+        # 1.4e154: the error blames tau, as in D=3, not v
+        with pytest.raises(DomainError, match=re.escape(f"too small for tau = {tau}")):
+            speed_bound(ModelParams(d=d, nu=0.1, v=1.0, tau=tau))
+
     def test_monotone_in_density(self):
         speeds = []
         for nu in np.linspace(1e-4, 0.3, 12):
@@ -570,6 +579,19 @@ class TestAsymptotics:
         ratio = asymptotic_speed_random_walk(p2) / asymptotic_speed_random_walk(p1)
         assert ratio == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-12)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_random_walk_is_the_small_density_speed_in_every_d(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(200):
+            p = ModelParams(
+                d=d, nu=float(rng.uniform(0.0, 0.99)) / UNIT_BALL_VOLUME[d],
+                v=float(10.0 ** rng.uniform(-2.0, 2.0)),
+                tau=float(10.0 ** rng.uniform(-3.0, 3.0)),
+            )
+            assert asymptotic_speed_random_walk(p) == pytest.approx(
+                small_density_speed(p), rel=1e-14
+            )
+
     def test_random_walk_matches_full_bound_at_small_density(self):
         p = ModelParams(d=2, nu=1e-5, v=1.0, tau=0.1)
         full = speed_bound(p).speed
@@ -597,9 +619,9 @@ class TestAsymptotics:
         assert 50.0 <= e3 / e4 <= 200.0
 
     def test_wrong_regime_rejected(self):
-        # billiard motion, D other than 2, or a density at or above 1/pi
-        for d, nu, tau in ((2, 0.01, 0.0), (1, 0.01, 0.1), (3, 0.01, 0.1),
-                           (2, 1.0 / math.pi, 0.1), (2, 0.5, 0.1)):
+        # billiard motion, or a density at or above 1/V_D
+        for d, nu, tau in ((2, 0.01, 0.0), (2, 1.0 / math.pi, 0.1), (2, 0.5, 0.1),
+                           (1, 0.5, 0.1), (3, 0.3, 0.1)):
             with pytest.raises(DomainError):
                 asymptotic_speed_random_walk(ModelParams(d=d, nu=nu, v=1.0, tau=tau))
         with pytest.raises(DomainError):
