@@ -36,10 +36,17 @@ from .specfun import (
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SCAN_POINTS = 2000
+_ALL_POINTS = np.arange(_SCAN_POINTS)
 _POLE_CLIP = 1.0 - 1e-9   # keep the search strictly left of the pole
 # theta = (tau + theta) - tau keeps about six digits only while theta is at
 # least this many rounding units of tau + theta
 _THETA_ULPS = 1e6
+# `_screen` keeps every point whose error bound kappa exceeds this, and
+# every other point within this relative margin of the least of them
+_SCREEN_KAPPA = 1e6
+_SCREEN_MARGIN = 1e-6
+# D=1 forms A**2 + 4*(rho*v)**2: squares up to this cannot overflow it
+_SQUARE_MAX = sys.float_info.max / 8.0
 
 
 @dataclass(frozen=True)
@@ -189,11 +196,21 @@ def _golden_min(f, lo, hi, rel_tol):
 
 
 def _map(fn, values):
-    """fn applied to each element of the list values, as an array.  The
-    scan takes math's cosh, sinh and tanh, not numpy's: on AVX-512 CPUs
-    numpy's differ from them by an ulp or two in about a quarter of the
-    arguments, and the cancellation in Psi_3 magnifies that."""
-    return np.fromiter(map(fn, values), float, len(values))
+    """fn applied to each element of the array values, as an array.  The
+    exact scan takes math's cosh, sinh and tanh, not numpy's: on AVX-512
+    CPUs numpy's differ from them by an ulp or two in about a quarter of
+    the arguments, and the cancellation in Psi_3 magnifies that.  numpy's
+    only screen the scan (`_screen`); they never decide an output."""
+    return np.fromiter(map(fn, values.tolist()), float, values.size)
+
+
+# the hyperbolic functions (sinh, cosh, tanh) of an array pass: math's,
+# element by element, for the exact values, and numpy's for the screen
+_LIBM = (
+    functools.partial(_map, math.sinh),
+    functools.partial(_map, math.cosh),
+    functools.partial(_map, math.tanh),
+)
 
 
 def _join(mask, inside, outside):
@@ -239,12 +256,17 @@ def _bessel_grid(x, order):
     return out
 
 
-def _psi_xi_grid(d, rho):
+def _psi_xi_grid(d, rho, hyp):
     """specfun.psi and specfun.xi over an array of 0 < rho <= MAX_ARG,
-    with the same branches and operation order.  Each point evaluates
-    only its own branch: the Taylor polynomials below _SMALL_RHO (below
+    with the same branches and operation order, and the sinh and cosh of
+    hyp (`_LIBM` or numpy's) for math's.  Each point evaluates only its
+    own branch: the Taylor polynomials below _SMALL_RHO (below
     _PSI3_TAYLOR_RHO for D=3 psi), the closed forms or the I1 series
-    above it."""
+    above it.
+
+    The third value is how much Psi magnifies a relative error of sinh
+    and cosh: (rho*cosh + sinh)/(rho*cosh - sinh) on D=3's closed form,
+    whose difference cancels, and 1 elsewhere."""
     small = rho < _SMALL_RHO
     s, b = rho[small], rho[~small]
     s2 = s * s
@@ -254,44 +276,44 @@ def _psi_xi_grid(d, rho):
             2.0 * math.pi * (0.5 + s2 / 16.0 + s2 * s2 / 384.0),
             2.0 * math.pi * _bessel_grid(b, 1) / b,
         )
-        return psi_, 2.0 * math.pi * _bessel_grid(rho, 0)
-    values = b.tolist()
-    sinh = _map(math.sinh, values)
+        return psi_, 2.0 * math.pi * _bessel_grid(rho, 0), 1.0
+    sinh, cosh, _ = hyp
+    sinh_b = sinh(b)
     if d == 1:
         psi_ = _join(
-            small, 2.0 * (1.0 + s2 / 6.0 + s2 * s2 / 120.0), 2.0 * sinh / b
+            small, 2.0 * (1.0 + s2 / 6.0 + s2 * s2 / 120.0), 2.0 * sinh_b / b
         )
-        xi_ = _join(
-            small, 2.0 * (1.0 + s2 / 2.0 + s2 * s2 / 24.0), 2.0 * _map(math.cosh, values)
-        )
-        return psi_, xi_
+        xi_ = _join(small, 2.0 * (1.0 + s2 / 2.0 + s2 * s2 / 24.0), 2.0 * cosh(b))
+        return psi_, xi_, 1.0
     xi_ = _join(
         small,
         4.0 * math.pi * (1.0 + s2 / 6.0 + s2 * s2 / 120.0),
-        4.0 * math.pi * sinh / b,
+        4.0 * math.pi * sinh_b / b,
     )
     taylor, closed = rho < _PSI3_TAYLOR_RHO, b >= _PSI3_TAYLOR_RHO
     t2, c = rho[taylor] * rho[taylor], b[closed]
+    c_cosh, c_sinh = c * cosh(c), sinh_b[closed]
     psi_ = _join(
         taylor,
         4.0 * math.pi * (1.0 / 3.0 + t2 / 30.0 + t2 * t2 / 840.0 + t2 * t2 * t2 / 45360.0),
-        4.0 * math.pi * (c * _map(math.cosh, c.tolist()) - sinh[closed]) / (c * c * c),
+        4.0 * math.pi * (c_cosh - c_sinh) / (c * c * c),
     )
-    return psi_, xi_
+    return psi_, xi_, _join(taylor, 1.0, (c_cosh + c_sinh) / (c_cosh - c_sinh))
 
 
-def _ratio_grid(params, rho):
+def _kernel_grid(params, rho, hyp):
     """theta_of_rho(params, r) / r for each r of the array rho, 0 < r <=
-    MAX_ARG, and +inf where theta_of_rho raises (at or past the pole).
-
-    Bit-identical to the scalar path: it takes the same branches and the
-    same IEEE operations in the same order, and math's transcendentals."""
+    MAX_ARG, and +inf where theta_of_rho raises (at or past the pole),
+    with hyp's hyperbolic functions; and the terms `_screen` bounds its
+    error with.  Returns (ratio, x, theta, denom, amp, a, a_rho): x =
+    tau + theta, denom = 1 - nu*Psi, amp Psi's error gain, a = rho*v and
+    a_rho = A(rho)."""
     # no point evaluates a branch it does not take, but the points past
     # the pole, where A(rho) = 0, or where rho*v or A(rho) overflows may
     # divide by zero or overflow: Python floats do so silently, and the
     # last two np.where drop the values past the pole and at A(rho) = 0
     with np.errstate(all="ignore"):
-        psi_, xi_ = _psi_xi_grid(params.d, rho)
+        psi_, xi_, amp = _psi_xi_grid(params.d, rho, hyp)
         denom = 1.0 - params.nu * psi_
         a_rho = params.tau + 2.0 * params.v * params.nu * xi_ / denom
         a = rho * params.v
@@ -302,14 +324,52 @@ def _ratio_grid(params, rho):
         else:
             z = a / a_rho
             tiny = z < 1e-12
-            zt, zr = z[tiny], z[~tiny]
+            zt = z[tiny]
             x = _join(
                 tiny,
                 a_rho[tiny] * (1.0 + zt * zt / 3.0),
-                a[~tiny] / _map(math.tanh, zr.tolist()),
+                a[~tiny] / hyp[2](z[~tiny]),
             )
         theta = np.where(a_rho == 0.0, a, x - params.tau)
-        return np.where(denom <= 0.0, math.inf, theta / rho)
+        ratio = np.where(denom <= 0.0, math.inf, theta / rho)
+        return ratio, x, theta, denom, amp, a, a_rho
+
+
+def _ratio_grid(params, rho):
+    """theta_of_rho(params, r) / r for each r of the array rho, 0 < r <=
+    MAX_ARG, and +inf where theta_of_rho raises (at or past the pole).
+
+    Bit-identical to the scalar path: it takes the same branches and the
+    same IEEE operations in the same order, and math's transcendentals.
+    numpy's only prune the scan (`_screen`); no output depends on them."""
+    return _kernel_grid(params, rho, _LIBM)[0]
+
+
+def _screen(params, grid):
+    """The indices, in order, of the grid points that can hold the first
+    argmin of `_ratio_grid`, found with numpy's vector sinh, cosh and tanh.
+
+    numpy's differ from math's by a few ulp (none with its CPU dispatch
+    off).  A point's screened ratio is then within about kappa ulps of
+    the exact one, kappa = (x/theta) * (2 + amp/(1 - nu*Psi)): the
+    cancellation in theta = x - tau, times the error of A(rho) (Xi's, and
+    Psi's through 1 - nu*Psi) and of D=3's tanh, each of which moves x by
+    at most its own relative size.  So a point with kappa <= 1e6 is
+    within about 1e-9 of its exact value, and one screened more than
+    1e-6 above the least such value is strictly above the exact minimum.
+    Every other point is kept: kappa above 1e6, a ratio that is not
+    finite, or a square of rho*v or A(rho) outside the normal range (or
+    so large that D=1's A**2 + 4*(rho*v)**2 may overflow)."""
+    with np.errstate(all="ignore"):
+        ratio, x, theta, denom, amp, a, a_rho = _kernel_grid(
+            params, grid, (np.sinh, np.cosh, np.tanh)
+        )
+        kappa = x / theta * (2.0 + amp / denom)
+        sure = (kappa > 0.0) & (kappa <= _SCREEN_KAPPA) & np.isfinite(ratio)
+        for square in (a * a, a_rho * a_rho):
+            sure &= (square >= sys.float_info.min) & (square <= _SQUARE_MAX)
+        least = ratio[sure].min(initial=math.inf)
+        return np.flatnonzero(~sure | (ratio <= least * (1.0 + _SCREEN_MARGIN)))
 
 
 @functools.lru_cache(maxsize=8)
@@ -342,9 +402,11 @@ def _minimize_ratio(params, rho_star):
 
     The scan guards against the (unproven) possibility of multiple local
     minima.  The grid is one array (`_scan_grid`: cached powers of the
-    step times lo), and the scan is one array pass over it (`_ratio_grid`),
-    bit-identical to evaluating theta_of_rho point by point; the
-    refinement is scalar.
+    step times lo), and the scan is one array pass (`_ratio_grid`),
+    bit-identical to evaluating theta_of_rho point by point, over the
+    points `_screen` keeps (all of them in D=2); it picks the first point
+    of least value, as a pass over the whole grid would.  The refinement
+    is scalar.
     The left edge 1e-6*rho_star can lie above the argmin (tau > 0 and
     small nu), so a best point on that edge is refined on (0, grid[1]).
     """
@@ -357,10 +419,12 @@ def _minimize_ratio(params, rho_star):
             return math.inf
 
     grid = _scan_grid(rho_star)
-    values = _ratio_grid(params, grid)
+    # numpy has no vector I1 to screen D=2 with: its scan stays whole
+    points = _ALL_POINTS if params.d == 2 else _screen(params, grid)
+    values = _ratio_grid(params, grid[points])
     # theta is NaN where rho*v and A(rho) both overflow (D=3, huge v);
     # like min() over the scalar values, the scan never picks such a point
-    i = int(np.argmin(np.where(np.isnan(values), math.inf, values)))
+    i = int(points[np.argmin(np.where(np.isnan(values), math.inf, values))])
     left = float(grid[i - 1]) if i else 0.0
     right = float(grid[min(i + 1, _SCAN_POINTS - 1)])
     return _golden_min(ratio, left, right, 1e-10)
@@ -388,27 +452,48 @@ def speed_bound(params):
         return SpeedBound(
             status=BoundStatus.DEGENERATE_ZERO_DENSITY, slowness=math.inf
         )
-    rho0 = _minimize_ratio(params, pole_rho(params))
-    theta0 = theta_of_rho(params, rho0)
+    # theta and theta/rho scale with (v, tau) by the same power of two,
+    # exactly while nothing over- or underflows; below v = 1 the squares
+    # of rho*v and A(rho) would underflow, so solve at v in [1, 2)
+    shift = max(0, 1 - math.frexp(params.v)[1])
+    try:
+        solved = ModelParams(
+            params.d, params.nu, math.ldexp(params.v, shift),
+            math.ldexp(params.tau, shift),
+        )
+    except OverflowError:
+        # tau/v > 2**1023, and theta stays below about 1e17*v even next
+        # to threshold, where 1 - nu*V_D is an ulp
+        raise DomainError(
+            f"density {params.nu} is too small for tau = {params.tau}: "
+            f"theta is lost to rounding against tau, over 2**1023 times v = {params.v}"
+        ) from None
+    rho0 = _minimize_ratio(solved, pole_rho(params))
+    theta0 = theta_of_rho(solved, rho0)
     # D=1 and D=2 square A(rho) >= tau: once tau**2 overflows, theta is
     # inf at every rho whatever v is, as lost to tau as in D=3
-    if theta0 < _THETA_ULPS * sys.float_info.epsilon * (params.tau + theta0) or (
-        params.d < 3 and params.tau * params.tau == math.inf
+    if theta0 < _THETA_ULPS * sys.float_info.epsilon * (solved.tau + theta0) or (
+        params.d < 3 and solved.tau * solved.tau == math.inf
     ):
         raise DomainError(
             f"density {params.nu} is too small for tau = {params.tau}: "
-            f"theta = {theta0:.3g} is lost to rounding against tau"
+            f"theta = {math.ldexp(theta0, -shift):.3g} is lost to rounding against tau"
         )
     speed = theta0 / rho0
     if not speed < math.inf:
         raise DomainError(
             f"v = {params.v} is too large: theta/rho overflows double precision"
         )
+    speed = math.ldexp(speed, -shift)
+    if speed < sys.float_info.min:
+        raise DomainError(
+            f"v = {params.v} is too small: theta/rho underflows double precision"
+        )
     return SpeedBound(
         status=BoundStatus.FINITE,
         slowness=1.0 / speed,
         speed=speed,
-        argmin=KernelPoint(rho=rho0, theta=theta0),
+        argmin=KernelPoint(rho=rho0, theta=math.ldexp(theta0, -shift)),
     )
 
 

@@ -181,6 +181,46 @@ def test_criterion_4_billiard_quadratic_excess():
     )
 
 
+def test_criterion_4_billiard_laws_in_every_d():
+    # the small-density billiard (tau = 0) laws of this kernel's leading
+    # order, excess = speed/v - 1: c1*nu in D=1, c2*nu**2 in D=2, and in
+    # D=3 about K*exp(-2m/(8*pi*nu)); constants from scipy's minimisers
+    from scipy import optimize, special
+
+    def least(f):
+        return optimize.minimize_scalar(
+            f, bounds=(0.1, 5.0), method="bounded", options={"xatol": 1e-12}
+        ).fun
+
+    c1 = 2.0 * least(lambda r: math.cosh(r) / r)
+    c2 = 8.0 * math.pi**2 * least(lambda r: special.i0(r) / r) ** 2
+    m = -least(lambda r: -r * r / math.sinh(r))
+
+    def excess(d, nu):
+        return speed_bound(ModelParams(d=d, nu=nu, v=1.0, tau=0.0)).speed - 1.0
+
+    start = time.perf_counter()
+    law1 = excess(1, 1e-4) / 1e-4 / c1
+    law2 = excess(2, 1e-4) / 1e-8 / c2
+    nus = 1.0 / np.linspace(1.0 / 0.01, 1.0 / 0.004, 7)
+    logs = [math.log(excess(3, float(nu))) for nu in nus]
+    law3 = np.polyfit(1.0 / nus, logs, 1)[0] / (-2.0 * m / (8.0 * math.pi))
+    elapsed = time.perf_counter() - start
+    ok = (
+        abs(law1 - 1.0) <= 1e-3
+        and abs(law2 - 1.0) <= 1e-3
+        and abs(law3 - 1.0) <= 1e-2
+        and elapsed < 1.0
+    )
+    report(
+        4,
+        ok,
+        f"excess/law at nu=1e-4: D=1 {law1:.5f} (c1={c1:.6f}), D=2 {law2:.5f} "
+        f"(c2={c2:.4f}); D=3 log-excess slope in 1/nu on [0.004, 0.01] / "
+        f"(-2m/(8pi)) {law3:.5f} (m={m:.6f}), {elapsed:.2f}s",
+    )
+
+
 def test_criterion_5_random_walk_asymptotic():
     start = time.perf_counter()
     p = ModelParams(d=2, nu=1e-5, v=1.0, tau=0.1)

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 from scipy import optimize, special
 
+import dtnspeed.kernel as kernel
 from dtnspeed.kernel import (
     _POLE_CLIP,
     _SCAN_POINTS,
     BoundStatus,
     KernelPoint,
     ModelParams,
+    SpeedBound,
     asymptotic_speed_random_walk,
     coupling,
     kernel_residual,
@@ -20,6 +22,7 @@ from dtnspeed.kernel import (
     _bessel_grid,
     _ratio_grid,
     _scan_grid,
+    _screen,
 )
 from dtnspeed.specfun import (
     _SMALL_RHO,
@@ -409,6 +412,30 @@ class TestSpeedBound:
         with pytest.raises(DomainError, match=re.escape(f"too small for tau = {tau}")):
             speed_bound(ModelParams(d=d, nu=0.1, v=1.0, tau=tau))
 
+    @pytest.mark.parametrize("tau", [0.0, 0.1])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_tiny_v_is_the_scaled_bound_or_domain_error(self, d, tau):
+        # theta/rho scales with (v, tau) by a power of two exactly; the
+        # closed forms square rho*v and A(rho), which underflow below
+        # about 1.5e-154, and a speed under the normal range is refused
+        for nu in (0.1, 1e-3):
+            one = speed_bound(ModelParams(d=d, nu=nu, v=1.0, tau=tau))
+            for k in (1, 100, 500, 510, 520, 600, 1000, 1070):
+                p = ModelParams(d=d, nu=nu, v=2.0**-k, tau=tau * 2.0**-k)
+                if k == 1070:
+                    with pytest.raises(DomainError, match=f"v = {p.v} is too small"):
+                        speed_bound(p)
+                    continue
+                assert speed_bound(p) == SpeedBound(
+                    status=BoundStatus.FINITE,
+                    slowness=math.ldexp(one.slowness, k),
+                    speed=math.ldexp(one.speed, -k),
+                    argmin=KernelPoint(one.argmin.rho, math.ldexp(one.argmin.theta, -k)),
+                ), (nu, k)
+        # tau over 2**1023 times v: theta is lost against it at every density
+        with pytest.raises(DomainError, match="too small for tau = 10000000000.0"):
+            speed_bound(ModelParams(d=d, nu=0.1, v=1e-300, tau=1e10))
+
     def test_monotone_in_density(self):
         speeds = []
         for nu in np.linspace(1e-4, 0.3, 12):
@@ -541,6 +568,102 @@ class TestRatioScan:
                 assert local_minima(values[np.isfinite(values)].tolist()) == 1, p
                 cases += 1
         assert cases == 1125
+
+
+def screen_cases(seed, count):
+    """count D=1 and D=3 parameter sets, alternating, for the screen: a
+    quarter each of densities 1e-1 to 1e-14 below threshold, log-uniform
+    ones from 1e-300 up, ones from 1e-3 of threshold up, and billiards at
+    1e-4 to 3e-3 (where D=3's speed is exactly v).  v spans 1e+-300; tau
+    is 0, a multiple 1e-6 to 1e3 of v, or anything in 1e+-300."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        d = 1 + 2 * (i % 2)
+        threshold = 1.0 / UNIT_BALL_VOLUME[d]
+        v = 10.0 ** rng.uniform(-300.0, 300.0)
+        kind, draw = i // 2 % 4, rng.random()
+        if kind == 3 or draw < 0.25:
+            tau = 0.0
+        elif draw < 0.8:
+            tau = v * 10.0 ** rng.uniform(-6.0, 3.0)
+        else:
+            tau = 10.0 ** rng.uniform(-300.0, 300.0)
+        if kind == 0:
+            nu = (1.0 - 10.0 ** rng.uniform(-14.0, -1.0)) * threshold
+        elif kind == 1:
+            nu = threshold * 10.0 ** rng.uniform(-300.0, -0.01)
+        elif kind == 2:
+            nu = threshold * 10.0 ** rng.uniform(-3.0, -0.01)
+        else:
+            nu = 10.0 ** rng.uniform(-4.0, math.log10(3e-3))
+        yield ModelParams(d=d, nu=float(nu), v=float(v), tau=float(tau))
+
+
+def bounds_or_errors(cases):
+    """speed_bound of each case, or the text of its DomainError."""
+    out = []
+    for p in cases:
+        try:
+            out.append(speed_bound(p))
+        except DomainError as err:
+            out.append(str(err))
+    return out
+
+
+def nudged(fn, rng):
+    """fn with each positive finite result moved by -4 to 4 ulp."""
+
+    def moved(x):
+        out = fn(x)
+        bits = out.view(np.int64) + rng.integers(-4, 5, out.shape)
+        return np.where(np.isfinite(out) & (out > 0.0), bits.view(np.float64), out)
+
+    return moved
+
+
+class TestScreen:
+    """D=1 and D=3 evaluate the scan exactly only at the points numpy's
+    vector sinh, cosh and tanh cannot rule out (`_screen`)."""
+
+    @staticmethod
+    def whole_scan(monkeypatch):
+        monkeypatch.setattr(kernel, "_screen", lambda params, grid: np.arange(grid.size))
+
+    def test_screen_changes_no_result(self, monkeypatch):
+        cases = list(screen_cases(27, 8400))
+        screened = bounds_or_errors(cases)
+        self.whole_scan(monkeypatch)
+        assert bounds_or_errors(cases) == screened
+        finite = sum(isinstance(b, SpeedBound) for b in screened)
+        assert 3000 < finite < len(cases) - 1000, finite
+
+    def test_screen_changes_no_result_with_nudged_hyperbolics(self, monkeypatch):
+        # numpy's vector sinh, cosh and tanh are within 2 ulp of math's
+        # here; the screen holds at 4
+        cases = list(screen_cases(28, 2000))
+        rng = np.random.default_rng(29)
+        with monkeypatch.context() as m:
+            for name in ("sinh", "cosh", "tanh"):
+                m.setattr(np, name, nudged(getattr(np, name), rng))
+            screened = bounds_or_errors(cases)
+        self.whole_scan(monkeypatch)
+        assert bounds_or_errors(cases) == screened
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_screen_keeps_the_first_argmin(self, d):
+        # over the bit-identity cases from 1e-3 of threshold up: the whole
+        # exact scan's first argmin is a kept point, and the screen keeps
+        # few points (near plateaus, and where theta = x - tau or D=3's
+        # Psi cancel, it keeps many)
+        kept = []
+        for p, pole in scan_cases(d, 1e-3 / UNIT_BALL_VOLUME[d]):
+            grid = _scan_grid(pole)
+            values = _ratio_grid(p, grid)
+            points = _screen(p, grid)
+            assert np.all(np.diff(points) > 0)
+            assert int(np.argmin(values)) in points, p
+            kept.append(points.size)
+        assert np.median(kept) <= 3, kept
 
 
 class TestSlownessSweep:
