@@ -145,12 +145,52 @@ def pole_rho(params):
     return lo
 
 
+def _unit_speed(params):
+    """(params with v and tau times 2**shift, shift), the power of two
+    that puts v in [1, 2).  theta and theta/rho scale by exactly that
+    power while nothing over- or underflows, and at v in [1, 2) the
+    closed forms' square of rho*v stays in the normal range."""
+    shift = 1 - math.frexp(params.v)[1]
+    try:
+        tau = math.ldexp(params.tau, shift)
+    except OverflowError:
+        # tau/v > 2**1023, and theta stays below about 1e17*v even next
+        # to threshold, where 1 - nu*V_D is an ulp
+        raise DomainError(
+            f"density {params.nu} is too small for tau = {params.tau}: "
+            f"theta is lost to rounding against tau, over 2**1023 times v = {params.v}"
+        ) from None
+    return ModelParams(params.d, params.nu, math.ldexp(params.v, shift), tau), shift
+
+
+def _scale_back(value, shift, v):
+    """value * 2**-shift, a value solved at v * 2**shift, or DomainError
+    where that leaves the normal double range."""
+    try:
+        value = math.ldexp(value, -shift)
+    except OverflowError:
+        value = math.inf
+    if not value < math.inf:
+        raise DomainError(f"v = {v} is too large: the bound overflows double precision")
+    if value < sys.float_info.min:
+        raise DomainError(f"v = {v} is too small: the bound underflows double precision")
+    return value
+
+
 def theta_of_rho(params, rho):
     """The unique theta > 0 solving the kernel equation at this rho.
 
     Closed forms from inverting 1/Y_D = A: a quadratic for D=1, a square
     root for D=2, and x = rho*v*coth(rho*v/A) with x = tau+theta for D=3.
+
+    theta scales with (v, tau) by a power of two exactly, and the closed
+    forms square rho*v and A(rho), which leave the double range at tiny
+    or huge v: so theta is solved at v in [1, 2) (`_unit_speed`) and
+    scaled back, and a theta outside the normal range raises DomainError.
     """
+    if not 1.0 <= params.v < 2.0:
+        solved, shift = _unit_speed(params)
+        return _scale_back(theta_of_rho(solved, rho), shift, params.v)
     if rho <= 0.0:
         raise DomainError(f"theta_of_rho requires rho > 0, got {rho}")
     a_rho = coupling(params, rho)
@@ -305,13 +345,12 @@ def _kernel_grid(params, rho, hyp):
     """theta_of_rho(params, r) / r for each r of the array rho, 0 < r <=
     MAX_ARG, and +inf where theta_of_rho raises (at or past the pole),
     with hyp's hyperbolic functions; and the terms `_screen` bounds its
-    error with.  Returns (ratio, x, theta, denom, amp, a, a_rho): x =
-    tau + theta, denom = 1 - nu*Psi, amp Psi's error gain, a = rho*v and
-    a_rho = A(rho)."""
+    error with.  Returns (ratio, x, theta, denom, amp, a_rho): x = tau +
+    theta, denom = 1 - nu*Psi, amp Psi's error gain and a_rho = A(rho)."""
     # no point evaluates a branch it does not take, but the points past
-    # the pole, where A(rho) = 0, or where rho*v or A(rho) overflows may
-    # divide by zero or overflow: Python floats do so silently, and the
-    # last two np.where drop the values past the pole and at A(rho) = 0
+    # the pole, where A(rho) = 0, or where A(rho) overflows may divide by
+    # zero or overflow: Python floats do so silently, and the last two
+    # np.where drop the values past the pole and at A(rho) = 0
     with np.errstate(all="ignore"):
         psi_, xi_, amp = _psi_xi_grid(params.d, rho, hyp)
         denom = 1.0 - params.nu * psi_
@@ -332,7 +371,7 @@ def _kernel_grid(params, rho, hyp):
             )
         theta = np.where(a_rho == 0.0, a, x - params.tau)
         ratio = np.where(denom <= 0.0, math.inf, theta / rho)
-        return ratio, x, theta, denom, amp, a, a_rho
+        return ratio, x, theta, denom, amp, a_rho
 
 
 def _ratio_grid(params, rho):
@@ -358,16 +397,18 @@ def _screen(params, grid):
     within about 1e-9 of its exact value, and one screened more than
     1e-6 above the least such value is strictly above the exact minimum.
     Every other point is kept: kappa above 1e6, a ratio that is not
-    finite, or a square of rho*v or A(rho) outside the normal range (or
-    so large that D=1's A**2 + 4*(rho*v)**2 may overflow)."""
+    finite, or a square of A(rho) outside the normal range (or so large
+    that D=1's A**2 + 4*(rho*v)**2 may overflow).  The square of rho*v
+    needs no guard: speed_bound scans at v in [1, 2) (`_unit_speed`),
+    where rho*v lies between about 1e-13 and 1400."""
     with np.errstate(all="ignore"):
-        ratio, x, theta, denom, amp, a, a_rho = _kernel_grid(
+        ratio, x, theta, denom, amp, a_rho = _kernel_grid(
             params, grid, (np.sinh, np.cosh, np.tanh)
         )
         kappa = x / theta * (2.0 + amp / denom)
+        square = a_rho * a_rho
         sure = (kappa > 0.0) & (kappa <= _SCREEN_KAPPA) & np.isfinite(ratio)
-        for square in (a * a, a_rho * a_rho):
-            sure &= (square >= sys.float_info.min) & (square <= _SQUARE_MAX)
+        sure &= (square >= sys.float_info.min) & (square <= _SQUARE_MAX)
         least = ratio[sure].min(initial=math.inf)
         return np.flatnonzero(~sure | (ratio <= least * (1.0 + _SCREEN_MARGIN)))
 
@@ -421,10 +462,9 @@ def _minimize_ratio(params, rho_star):
     grid = _scan_grid(rho_star)
     # numpy has no vector I1 to screen D=2 with: its scan stays whole
     points = _ALL_POINTS if params.d == 2 else _screen(params, grid)
-    values = _ratio_grid(params, grid[points])
-    # theta is NaN where rho*v and A(rho) both overflow (D=3, huge v);
-    # like min() over the scalar values, the scan never picks such a point
-    i = int(points[np.argmin(np.where(np.isnan(values), math.inf, values))])
+    # at v in [1, 2) (`_unit_speed`) rho*v cannot overflow, so no theta is
+    # NaN and argmin picks the first least value, as min() would
+    i = int(points[np.argmin(_ratio_grid(params, grid[points]))])
     left = float(grid[i - 1]) if i else 0.0
     right = float(grid[min(i + 1, _SCAN_POINTS - 1)])
     return _golden_min(ratio, left, right, 1e-10)
@@ -452,22 +492,7 @@ def speed_bound(params):
         return SpeedBound(
             status=BoundStatus.DEGENERATE_ZERO_DENSITY, slowness=math.inf
         )
-    # theta and theta/rho scale with (v, tau) by the same power of two,
-    # exactly while nothing over- or underflows; below v = 1 the squares
-    # of rho*v and A(rho) would underflow, so solve at v in [1, 2)
-    shift = max(0, 1 - math.frexp(params.v)[1])
-    try:
-        solved = ModelParams(
-            params.d, params.nu, math.ldexp(params.v, shift),
-            math.ldexp(params.tau, shift),
-        )
-    except OverflowError:
-        # tau/v > 2**1023, and theta stays below about 1e17*v even next
-        # to threshold, where 1 - nu*V_D is an ulp
-        raise DomainError(
-            f"density {params.nu} is too small for tau = {params.tau}: "
-            f"theta is lost to rounding against tau, over 2**1023 times v = {params.v}"
-        ) from None
+    solved, shift = _unit_speed(params)
     rho0 = _minimize_ratio(solved, pole_rho(params))
     theta0 = theta_of_rho(solved, rho0)
     # D=1 and D=2 square A(rho) >= tau: once tau**2 overflows, theta is
@@ -479,21 +504,12 @@ def speed_bound(params):
             f"density {params.nu} is too small for tau = {params.tau}: "
             f"theta = {math.ldexp(theta0, -shift):.3g} is lost to rounding against tau"
         )
-    speed = theta0 / rho0
-    if not speed < math.inf:
-        raise DomainError(
-            f"v = {params.v} is too large: theta/rho overflows double precision"
-        )
-    speed = math.ldexp(speed, -shift)
-    if speed < sys.float_info.min:
-        raise DomainError(
-            f"v = {params.v} is too small: theta/rho underflows double precision"
-        )
+    speed = _scale_back(theta0 / rho0, shift, params.v)
     return SpeedBound(
         status=BoundStatus.FINITE,
         slowness=1.0 / speed,
         speed=speed,
-        argmin=KernelPoint(rho=rho0, theta=math.ldexp(theta0, -shift)),
+        argmin=KernelPoint(rho=rho0, theta=_scale_back(theta0, shift, params.v)),
     )
 
 

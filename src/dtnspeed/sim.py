@@ -154,10 +154,12 @@ def _isotropic_direction(rng, d):
         angle = 2.0 * math.pi * rng.random()
         return [math.cos(angle), math.sin(angle)]
     while True:
-        vec = rng.normal(size=3)
-        norm = np.linalg.norm(vec)
+        # a fixed operation order, not np.linalg.norm, whose sum of
+        # squares depends on the BLAS build
+        x, y, z = rng.normal(size=3).tolist()
+        norm = math.sqrt(x * x + y * y + z * z)
         if norm > 1e-12:
-            return (vec / norm).tolist()
+            return [x / norm, y / norm, z / norm]
 
 
 def _turn_increment(rng, tau):

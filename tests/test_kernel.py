@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -100,6 +101,25 @@ def small_density_speed(params):
     d, nu, v, tau = params.d, params.nu, params.v, params.tau
     c = 2.0 * v * XI_AT_ZERO[d] / (1.0 - nu * UNIT_BALL_VOLUME[d])
     return 2.0 * v * math.sqrt(c * nu / (d * tau))
+
+
+def scaled_bound(bound, k):
+    """The bound at (v, tau) times 2**-k, from `bound` at (v, tau):
+    theta and theta/rho scale by 2**-k exactly.  None where its speed or
+    argmin theta leaves the normal double range."""
+    try:
+        speed = math.ldexp(bound.speed, -k)
+        theta = math.ldexp(bound.argmin.theta, -k)
+    except OverflowError:
+        return None
+    if min(speed, theta) < sys.float_info.min:
+        return None
+    return SpeedBound(
+        status=BoundStatus.FINITE,
+        slowness=1.0 / speed,
+        speed=speed,
+        argmin=KernelPoint(bound.argmin.rho, theta),
+    )
 
 
 class TestModelParams:
@@ -268,6 +288,27 @@ class TestThetaOfRho:
             generic = bisect_theta(p, rho)
             assert closed == pytest.approx(generic, abs=1e-10 * max(1.0, generic))
 
+    @pytest.mark.parametrize("tau", [0.0, 0.1])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_scales_with_v_or_raises(self, d, tau):
+        # theta scales with (v, tau) by a power of two exactly: the closed
+        # forms' squares of rho*v and A(rho) would under- or overflow at
+        # these v, so a theta out of the normal range is a DomainError
+        one = ModelParams(d=d, nu=0.1, v=1.0, tau=tau)
+        for rho in (0.01, 1.0):
+            theta = theta_of_rho(one, rho)
+            for k in (1, 100, 520, 600, 1000, -1, -100, -520, -600, -1000):
+                p = ModelParams(d=d, nu=0.1, v=2.0**k, tau=tau * 2.0**k)
+                try:
+                    expected = math.ldexp(theta, k)
+                except OverflowError:
+                    expected = math.inf
+                if not sys.float_info.min <= expected < math.inf:
+                    with pytest.raises(DomainError, match=re.escape(f"v = {p.v} is too")):
+                        theta_of_rho(p, rho)
+                    continue
+                assert theta_of_rho(p, rho) == expected, (rho, k)
+
 
 class TestKernelResidual:
     def test_direct_values(self):
@@ -382,27 +423,37 @@ class TestSpeedBound:
                 assert b.speed == pytest.approx(expected, rel=1e-4)
 
     def test_huge_v_is_finite_or_domain_error(self):
-        # 1500 random parameter sets with v up to 1e307: squaring rho*v
-        # overflows for v above about 1e155 in D=1 and D=2, and that speed
-        # is a DomainError naming v, never status FINITE with speed inf
+        # 1500 random parameter sets with v up to 1e307: each bound is the
+        # one solved at v in [1, 2) scaled back, and a DomainError naming
+        # v only where its speed or argmin theta overflows
         rng = np.random.default_rng(8)
-        refused = set()
+        refused = 0
         for _ in range(1500):
             d = int(rng.integers(1, 4))
             nu = float(rng.uniform(0.001, 0.99)) / UNIT_BALL_VOLUME[d]
             v = float(10.0 ** rng.uniform(-3.0, 307.0))
             tau = 0.0 if rng.random() < 0.3 else float(10.0 ** rng.uniform(-3.0, 3.0))
-            try:
-                b = speed_bound(ModelParams(d=d, nu=nu, v=v, tau=tau))
-            except DomainError as err:
-                assert f"v = {v} is too large" in str(err)
-                assert v > 1e150
-                refused.add(d)
+            k = 1 - math.frexp(v)[1]
+            one = speed_bound(
+                ModelParams(d=d, nu=nu, v=math.ldexp(v, k), tau=math.ldexp(tau, k))
+            )
+            expected = scaled_bound(one, k)
+            p = ModelParams(d=d, nu=nu, v=v, tau=tau)
+            if expected is None:
+                with pytest.raises(DomainError, match=re.escape(f"v = {v} is too large")):
+                    speed_bound(p)
+                refused += 1
                 continue
-            assert b.status == BoundStatus.FINITE
-            assert 0.0 < b.speed < math.inf
-            assert 0.0 < b.slowness < math.inf
-        assert refused == {1, 2}
+            assert speed_bound(p) == expected, p
+            assert 0.0 < expected.slowness < math.inf
+        assert refused < 10, refused
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_overflow_is_a_domain_error(self, d):
+        # D=1 and D=2's argmin theta overflows, D=3's speed: each scale
+        # back ends in DomainError, never a bare OverflowError
+        with pytest.raises(DomainError, match=re.escape("v = 1.5e+308 is too large")):
+            speed_bound(ModelParams(d=d, nu=0.1 / UNIT_BALL_VOLUME[d], v=1.5e308, tau=0.0))
 
     @pytest.mark.parametrize("tau", [1e155, 1e200])
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -416,22 +467,22 @@ class TestSpeedBound:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_tiny_v_is_the_scaled_bound_or_domain_error(self, d, tau):
         # theta/rho scales with (v, tau) by a power of two exactly; the
-        # closed forms square rho*v and A(rho), which underflow below
-        # about 1.5e-154, and a speed under the normal range is refused
+        # closed forms square rho*v and A(rho), which under- or overflow
+        # at tiny and huge v, and a speed or argmin theta out of the
+        # normal range is refused
         for nu in (0.1, 1e-3):
             one = speed_bound(ModelParams(d=d, nu=nu, v=1.0, tau=tau))
-            for k in (1, 100, 500, 510, 520, 600, 1000, 1070):
+            for k in (1, 100, 500, 510, 520, 600, 1000, 1070,
+                      -1, -100, -500, -520, -600, -1000, -1023):
                 p = ModelParams(d=d, nu=nu, v=2.0**-k, tau=tau * 2.0**-k)
-                if k == 1070:
-                    with pytest.raises(DomainError, match=f"v = {p.v} is too small"):
+                expected = scaled_bound(one, k)
+                if expected is None:
+                    assert k in (1070, -1023), (nu, k)
+                    size = "small" if k > 0 else "large"
+                    with pytest.raises(DomainError, match=re.escape(f"v = {p.v} is too {size}")):
                         speed_bound(p)
                     continue
-                assert speed_bound(p) == SpeedBound(
-                    status=BoundStatus.FINITE,
-                    slowness=math.ldexp(one.slowness, k),
-                    speed=math.ldexp(one.speed, -k),
-                    argmin=KernelPoint(one.argmin.rho, math.ldexp(one.argmin.theta, -k)),
-                ), (nu, k)
+                assert speed_bound(p) == expected, (nu, k)
         # tau over 2**1023 times v: theta is lost against it at every density
         with pytest.raises(DomainError, match="too small for tau = 10000000000.0"):
             speed_bound(ModelParams(d=d, nu=0.1, v=1e-300, tau=1e10))
@@ -550,7 +601,8 @@ class TestRatioScan:
 
     def test_overflowing_points_are_never_the_argmin(self):
         # rho*v and A(rho) overflow on the right of the grid, where theta
-        # is NaN; the bound is the one at the finite points
+        # is NaN; speed_bound scans at v in [1, 2), where they cannot, and
+        # its bound is the one at the finite points
         p = ModelParams(d=3, nu=1e-100, v=1e306, tau=0.0)
         assert np.isnan(_ratio_grid(p, np.array(_scan_grid(pole_rho(p))))).any()
         assert speed_bound(p).speed == p.v

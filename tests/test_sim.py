@@ -268,6 +268,19 @@ class TestInitWorld:
                 ]
             assert rng.bit_generator.state == reference.bit_generator.state
 
+    def test_spatial_direction_is_a_fixed_order_normalisation(self):
+        # each normal draw over sqrt(x*x + y*y + z*z), summed in that
+        # order, so a D=3 run does not depend on the BLAS build behind
+        # np.linalg.norm (whose norm differs in the last bit on about a
+        # tenth of these draws on one x86-64 OpenBLAS)
+        rng = np.random.default_rng(9)
+        reference = np.random.default_rng(9)
+        for _ in range(20000):
+            vec = reference.normal(size=3)
+            norm = np.sqrt(vec[0] * vec[0] + vec[1] * vec[1] + vec[2] * vec[2])
+            assert sim_module._isotropic_direction(rng, 3) == (vec / norm).tolist()
+        assert rng.bit_generator.state == reference.bit_generator.state
+
     def test_mean_position_of_large_sample(self):
         L, n = 10.0, 100_000
         w = init_world(
