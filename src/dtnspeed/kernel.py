@@ -149,18 +149,21 @@ def _unit_speed(params):
     """(params with v and tau times 2**shift, shift), the power of two
     that puts v in [1, 2).  theta and theta/rho scale by exactly that
     power while nothing over- or underflows, and at v in [1, 2) the
-    closed forms' square of rho*v stays in the normal range."""
+    closed forms' square of rho*v stays in the normal range.
+
+    It is the one place that refuses a tau swamping theta, in every D: a
+    scaled tau of 2**100 or more, so that tau**2 never overflows.  No
+    finite bound is lost: the argmin theta stays below about 1e17*v even
+    next to threshold, where 1 - nu*V_D is an ulp, and so is under the
+    1e6 ulps of tau + theta that speed_bound requires."""
     shift = 1 - math.frexp(params.v)[1]
-    try:
-        tau = math.ldexp(params.tau, shift)
-    except OverflowError:
-        # tau/v > 2**1023, and theta stays below about 1e17*v even next
-        # to threshold, where 1 - nu*V_D is an ulp
+    if params.tau and math.frexp(params.tau)[1] + shift > 100:
         raise DomainError(
-            f"density {params.nu} is too small for tau = {params.tau}: "
-            f"theta is lost to rounding against tau, over 2**1023 times v = {params.v}"
-        ) from None
-    return ModelParams(params.d, params.nu, math.ldexp(params.v, shift), tau), shift
+            f"density {params.nu} is too small for tau = {params.tau}: theta "
+            f"is lost to rounding against tau over about 2**100 times v = {params.v}"
+        )
+    v, tau = math.ldexp(params.v, shift), math.ldexp(params.tau, shift)
+    return ModelParams(params.d, params.nu, v, tau), shift
 
 
 def _scale_back(value, shift, v):
@@ -186,9 +189,12 @@ def theta_of_rho(params, rho):
     theta scales with (v, tau) by a power of two exactly, and the closed
     forms square rho*v and A(rho), which leave the double range at tiny
     or huge v: so theta is solved at v in [1, 2) (`_unit_speed`) and
-    scaled back, and a theta outside the normal range raises DomainError.
+    scaled back, and a theta outside the normal range raises DomainError,
+    as does a tau of about 2**100 times v or more, which swamps theta.
+    Where A(rho) and rho*v are both below 2**-480, whose squares would
+    underflow, x is formed from them 2**600 times larger and scaled back.
     """
-    if not 1.0 <= params.v < 2.0:
+    if not (1.0 <= params.v < 2.0 and params.tau < 2.0**100):
         solved, shift = _unit_speed(params)
         return _scale_back(theta_of_rho(solved, rho), shift, params.v)
     if rho <= 0.0:
@@ -198,6 +204,9 @@ def theta_of_rho(params, rho):
     if a_rho == 0.0:
         # nu = 0 and tau = 0: the kernel degenerates to theta = rho*v
         return a
+    tiny = a_rho < 2.0**-480 and a < 2.0**-480
+    if tiny:
+        a_rho, a = a_rho * 2.0**600, a * 2.0**600
     if params.d == 1:
         x = 0.5 * (a_rho + math.sqrt(a_rho * a_rho + 4.0 * a * a))
     elif params.d == 2:
@@ -208,7 +217,7 @@ def theta_of_rho(params, rho):
             x = a_rho * (1.0 + z * z / 3.0)
         else:
             x = a / math.tanh(z)
-    return x - params.tau
+    return (x * 2.0**-600 if tiny else x) - params.tau
 
 
 def kernel_residual(params, point):
@@ -380,6 +389,9 @@ def _ratio_grid(params, rho):
 
     Bit-identical to the scalar path: it takes the same branches and the
     same IEEE operations in the same order, and math's transcendentals.
+    It has no rescaled branch for tiny squares: on a `_scan_grid`, rho*v
+    at v in [1, 2) is at least about 1e-13, far above theta_of_rho's
+    2**-480.
     numpy's only prune the scan (`_screen`); no output depends on them."""
     return _kernel_grid(params, rho, _LIBM)[0]
 
@@ -495,11 +507,7 @@ def speed_bound(params):
     solved, shift = _unit_speed(params)
     rho0 = _minimize_ratio(solved, pole_rho(params))
     theta0 = theta_of_rho(solved, rho0)
-    # D=1 and D=2 square A(rho) >= tau: once tau**2 overflows, theta is
-    # inf at every rho whatever v is, as lost to tau as in D=3
-    if theta0 < _THETA_ULPS * sys.float_info.epsilon * (solved.tau + theta0) or (
-        params.d < 3 and solved.tau * solved.tau == math.inf
-    ):
+    if theta0 < _THETA_ULPS * sys.float_info.epsilon * (solved.tau + theta0):
         raise DomainError(
             f"density {params.nu} is too small for tau = {params.tau}: "
             f"theta = {math.ldexp(theta0, -shift):.3g} is lost to rounding against tau"

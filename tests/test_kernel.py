@@ -309,6 +309,31 @@ class TestThetaOfRho:
                     continue
                 assert theta_of_rho(p, rho) == expected, (rho, k)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_tiny_squares_match_mpmath(self, d):
+        # A(rho) and rho*v both far below 2**-480, where the D=1 and D=2
+        # closed forms' squares underflow.  At these rho, Xi and Psi
+        # equal their rho = 0 values to within 1e-400, below 50 digits,
+        # so A = tau + 2*v*nu*Xi(0)/(1 - nu*V_D)
+        from mpmath import mp, mpf, sqrt, tanh
+
+        for nu, tau, rho in ((1e-300, 0.0, 1e-300), (1e-300, 1e-301, 1e-290),
+                             (1e-250, 0.0, 1e-200)):
+            with mp.workdps(50):
+                xi0 = {1: mpf(2), 2: 2 * mp.pi, 3: 4 * mp.pi}[d]
+                volume = {1: mpf(2), 2: mp.pi, 3: 4 * mp.pi / 3}[d]
+                a_rho = tau + 2 * mpf(nu) * xi0 / (1 - mpf(nu) * volume)
+                a = mpf(rho)
+                if d == 1:
+                    x = (a_rho + sqrt(a_rho**2 + 4 * a**2)) / 2
+                elif d == 2:
+                    x = sqrt(a_rho**2 + a**2)
+                else:
+                    x = a / tanh(a / a_rho)
+                expected = float(x - tau)
+            theta = theta_of_rho(ModelParams(d=d, nu=nu, v=1.0, tau=tau), rho)
+            assert theta == pytest.approx(expected, rel=1e-15, abs=0.0), (nu, tau, rho)
+
 
 class TestKernelResidual:
     def test_direct_values(self):
@@ -458,10 +483,41 @@ class TestSpeedBound:
     @pytest.mark.parametrize("tau", [1e155, 1e200])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_huge_tau_is_a_density_too_small_for_tau(self, d, tau):
-        # D=1 and D=2 square A(rho) >= tau, which overflows past about
-        # 1.4e154: the error blames tau, as in D=3, not v
+        # tau at or above about 2**100 times v swamps theta at every
+        # density: the error blames tau, in every D, not v
         with pytest.raises(DomainError, match=re.escape(f"too small for tau = {tau}")):
             speed_bound(ModelParams(d=d, nu=0.1, v=1.0, tau=tau))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_tau_swamping_theta_is_refused_alike(self, d):
+        # tau of 2**100 times v or more swamps theta: speed_bound and
+        # theta_of_rho refuse it alike, blaming tau, at tiny and huge v
+        # too, and never report an infinite theta
+        nu = 0.1 / UNIT_BALL_VOLUME[d]
+        for v in (2.0**-600, 1.0, 4.0, 2.0**600):
+            for ratio in (2.0**100, 2.0**200):
+                p = ModelParams(d=d, nu=nu, v=v, tau=ratio * v)
+                for solve in (lambda: speed_bound(p), lambda: theta_of_rho(p, 1.0)):
+                    with pytest.raises(DomainError) as error:
+                        solve()
+                    message = str(error.value)
+                    assert f"too small for tau = {p.tau}" in message
+                    assert "inf" not in message
+        # below 2**100 times v, speed_bound's own test of theta against
+        # the rounding of tau + theta refuses every density: the cut at
+        # 2**100 loses no finite bound
+        rng = np.random.default_rng(29)
+        for _ in range(40):
+            g = float(10.0 ** rng.uniform(-15.0, 0.0))
+            v = float(2.0 ** rng.uniform(-600.0, 600.0))
+            p = ModelParams(
+                d=d,
+                nu=(1.0 - g) / UNIT_BALL_VOLUME[d],
+                v=v,
+                tau=float(2.0 ** rng.uniform(88.0, 100.0)) * v,
+            )
+            with pytest.raises(DomainError, match=re.escape(f"too small for tau = {p.tau}")):
+                speed_bound(p)
 
     @pytest.mark.parametrize("tau", [0.0, 0.1])
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -483,7 +539,7 @@ class TestSpeedBound:
                         speed_bound(p)
                     continue
                 assert speed_bound(p) == expected, (nu, k)
-        # tau over 2**1023 times v: theta is lost against it at every density
+        # tau over 2**100 times v: theta is lost against it at every density
         with pytest.raises(DomainError, match="too small for tau = 10000000000.0"):
             speed_bound(ModelParams(d=d, nu=0.1, v=1e-300, tau=1e10))
 
