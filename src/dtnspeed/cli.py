@@ -56,7 +56,7 @@ def _build_parser():
         p.add_argument("--tau", type=float, default=None, help="direction change rate")
 
     def out_flag(p):
-        p.add_argument("--out", default=None, help="output CSV path")
+        p.add_argument("--out", type=str, default=None, help="output CSV path")
 
     p = sub.add_parser("bound", help="analytical speed bound for one parameter set")
     model_flags(p)
@@ -108,10 +108,14 @@ def _build_parser():
 
 def _config_value(key, value, kind):
     """A config value converted by its flag's type, as the flag's text would
-    be; a bool, or a float for an int flag, is refused, not truncated."""
+    be; a bool, or a float for an int flag, is refused, not truncated, and
+    a str flag takes only a string."""
     if kind is None or value is None:
         return value
-    if not isinstance(value, bool) and not (kind is int and isinstance(value, float)):
+    if kind is str:
+        if isinstance(value, str):
+            return value
+    elif not isinstance(value, bool) and not (kind is int and isinstance(value, float)):
         try:
             return kind(value)
         except (TypeError, ValueError, OverflowError):

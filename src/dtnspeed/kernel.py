@@ -262,16 +262,6 @@ _LIBM = (
 )
 
 
-def _join(mask, inside, outside):
-    """One array from the values of the points in mask and of the rest,
-    each in its points' order: np.where with each branch evaluated only
-    on the points that take it."""
-    out = np.empty(mask.shape)
-    out[mask] = inside
-    out[~mask] = outside
-    return out
-
-
 def _bessel_grid(x, order):
     """specfun._bessel_series over an array of 0 <= x <= MAX_ARG: each
     element takes the same terms, stops on the same rule and cap, and
@@ -307,47 +297,41 @@ def _bessel_grid(x, order):
 
 def _psi_xi_grid(d, rho, hyp):
     """specfun.psi and specfun.xi over an array of 0 < rho <= MAX_ARG,
-    with the same branches and operation order, and the sinh and cosh of
-    hyp (`_LIBM` or numpy's) for math's.  Each point evaluates only its
-    own branch: the Taylor polynomials below _SMALL_RHO (below
-    _PSI3_TAYLOR_RHO for D=3 psi), the closed forms or the I1 series
-    above it.
+    with the sinh and cosh of hyp (`_LIBM` or numpy's) for math's.  Every
+    point evaluates every branch, with the scalar's operations in its
+    order, and np.where on the scalar's own test keeps the one it takes:
+    the Taylor polynomials below _SMALL_RHO (below _PSI3_TAYLOR_RHO for
+    D=3 psi), the closed forms or the I1 series above it.
 
     The third value is how much Psi magnifies a relative error of sinh
     and cosh: (rho*cosh + sinh)/(rho*cosh - sinh) on D=3's closed form,
     whose difference cancels, and 1 elsewhere."""
     small = rho < _SMALL_RHO
-    s, b = rho[small], rho[~small]
-    s2 = s * s
+    r2 = rho * rho
     if d == 2:
-        psi_ = _join(
+        psi_ = np.where(
             small,
-            2.0 * math.pi * (0.5 + s2 / 16.0 + s2 * s2 / 384.0),
-            2.0 * math.pi * _bessel_grid(b, 1) / b,
+            2.0 * math.pi * (0.5 + r2 / 16.0 + r2 * r2 / 384.0),
+            2.0 * math.pi * _bessel_grid(rho, 1) / rho,
         )
         return psi_, 2.0 * math.pi * _bessel_grid(rho, 0), 1.0
     sinh, cosh, _ = hyp
-    sinh_b = sinh(b)
+    sinh_, cosh_ = sinh(rho), cosh(rho)
     if d == 1:
-        psi_ = _join(
-            small, 2.0 * (1.0 + s2 / 6.0 + s2 * s2 / 120.0), 2.0 * sinh_b / b
-        )
-        xi_ = _join(small, 2.0 * (1.0 + s2 / 2.0 + s2 * s2 / 24.0), 2.0 * cosh(b))
+        psi_ = np.where(small, 2.0 * (1.0 + r2 / 6.0 + r2 * r2 / 120.0), 2.0 * sinh_ / rho)
+        xi_ = np.where(small, 2.0 * (1.0 + r2 / 2.0 + r2 * r2 / 24.0), 2.0 * cosh_)
         return psi_, xi_, 1.0
-    xi_ = _join(
-        small,
-        4.0 * math.pi * (1.0 + s2 / 6.0 + s2 * s2 / 120.0),
-        4.0 * math.pi * sinh_b / b,
+    xi_ = np.where(
+        small, 4.0 * math.pi * (1.0 + r2 / 6.0 + r2 * r2 / 120.0), 4.0 * math.pi * sinh_ / rho
     )
-    taylor, closed = rho < _PSI3_TAYLOR_RHO, b >= _PSI3_TAYLOR_RHO
-    t2, c = rho[taylor] * rho[taylor], b[closed]
-    c_cosh, c_sinh = c * cosh(c), sinh_b[closed]
-    psi_ = _join(
+    taylor = rho < _PSI3_TAYLOR_RHO
+    rho_cosh = rho * cosh_
+    psi_ = np.where(
         taylor,
-        4.0 * math.pi * (1.0 / 3.0 + t2 / 30.0 + t2 * t2 / 840.0 + t2 * t2 * t2 / 45360.0),
-        4.0 * math.pi * (c_cosh - c_sinh) / (c * c * c),
+        4.0 * math.pi * (1.0 / 3.0 + r2 / 30.0 + r2 * r2 / 840.0 + r2 * r2 * r2 / 45360.0),
+        4.0 * math.pi * (rho_cosh - sinh_) / (r2 * rho),
     )
-    return psi_, xi_, _join(taylor, 1.0, (c_cosh + c_sinh) / (c_cosh - c_sinh))
+    return psi_, xi_, np.where(taylor, 1.0, (rho_cosh + sinh_) / (rho_cosh - sinh_))
 
 
 def _kernel_grid(params, rho, hyp):
@@ -356,10 +340,12 @@ def _kernel_grid(params, rho, hyp):
     with hyp's hyperbolic functions; and the terms `_screen` bounds its
     error with.  Returns (ratio, x, theta, denom, amp, a_rho): x = tau +
     theta, denom = 1 - nu*Psi, amp Psi's error gain and a_rho = A(rho)."""
-    # no point evaluates a branch it does not take, but the points past
-    # the pole, where A(rho) = 0, or where A(rho) overflows may divide by
-    # zero or overflow: Python floats do so silently, and the last two
-    # np.where drop the values past the pole and at A(rho) = 0
+    # every point evaluates every branch, and np.where keeps the one the
+    # scalar takes; the discarded branches, the points past the pole,
+    # where A(rho) = 0, or where A(rho) overflows may divide by zero or
+    # overflow: Python floats do so silently, and the last two np.where
+    # drop the values past the pole and at A(rho) = 0.  math's sinh and
+    # cosh cannot raise at rho <= MAX_ARG, nor its tanh at any z.
     with np.errstate(all="ignore"):
         psi_, xi_, amp = _psi_xi_grid(params.d, rho, hyp)
         denom = 1.0 - params.nu * psi_
@@ -371,13 +357,7 @@ def _kernel_grid(params, rho, hyp):
             x = np.sqrt(a_rho * a_rho + a * a)
         else:
             z = a / a_rho
-            tiny = z < 1e-12
-            zt = z[tiny]
-            x = _join(
-                tiny,
-                a_rho[tiny] * (1.0 + zt * zt / 3.0),
-                a[~tiny] / hyp[2](z[~tiny]),
-            )
+            x = np.where(z < 1e-12, a_rho * (1.0 + z * z / 3.0), a / hyp[2](z))
         theta = np.where(a_rho == 0.0, a, x - params.tau)
         ratio = np.where(denom <= 0.0, math.inf, theta / rho)
         return ratio, x, theta, denom, amp, a_rho
@@ -387,8 +367,9 @@ def _ratio_grid(params, rho):
     """theta_of_rho(params, r) / r for each r of the array rho, 0 < r <=
     MAX_ARG, and +inf where theta_of_rho raises (at or past the pole).
 
-    Bit-identical to the scalar path: it takes the same branches and the
-    same IEEE operations in the same order, and math's transcendentals.
+    Bit-identical to the scalar path: every point evaluates every branch
+    with the same IEEE operations in the same order and math's
+    transcendentals, and np.where keeps the branch the scalar takes.
     It has no rescaled branch for tiny squares: on a `_scan_grid`, rho*v
     at v in [1, 2) is at least about 1e-13, far above theta_of_rho's
     2**-480.

@@ -585,6 +585,22 @@ class TestConfigFile:
             "int" if key in ("dim", "n") else "float"
         ) + f", got {value!r}\n"
 
+    @pytest.mark.parametrize("command", ["sweep", "simulate", "compare"])
+    @pytest.mark.parametrize("value", [5, ["a"]])
+    def test_out_must_be_a_string(self, command, value, tmp_path, monkeypatch, capsys):
+        # a non-string out is one usage line before any run or file
+        monkeypatch.chdir(tmp_path)
+        sweep = {"dim": 2, "v": 1.0, "tau": 0.0, "nu-grid": "0.1"}
+        doc = {**(sweep if command == "sweep" else self.SIM), "out": value}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        code = run_cli(command, "--config", str(path))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"usage error: config key 'out' must be str, got {value!r}\n"
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     def test_values_get_the_flag_type(self, tmp_path):
         # strings convert as the flag's text would, ints become floats
         doc = {**self.SIM, "L": "10", "n": "5", "v": 1, "seed": "3"}

@@ -26,6 +26,7 @@ from dtnspeed.kernel import (
     _screen,
 )
 from dtnspeed.specfun import (
+    _PSI3_TAYLOR_RHO,
     _SMALL_RHO,
     UNIT_BALL_VOLUME,
     DomainError,
@@ -602,10 +603,10 @@ class TestRatioScan:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_array_pass_is_bit_identical(self, d):
-        # just below threshold the pole is near 3e-6, so the whole grid
-        # takes the Taylor branch and the other branch's subset is empty;
-        # the low densities give grids with no Taylor point, and in D=3
-        # the grids of poles from 0.01 to 1e4 cross Psi_3's own switch.
+        # just below threshold the pole is near 3e-6, so every grid point
+        # takes the Taylor branch; the low densities give grids with no
+        # Taylor point, and in D=3 the grids of poles from 0.01 to 1e4
+        # cross Psi_3's own switch.
         near = []
         for tau in (0.0, 0.1):
             p = ModelParams(d=d, nu=(1 - 1e-12) / UNIT_BALL_VOLUME[d], v=1.0, tau=tau)
@@ -622,6 +623,29 @@ class TestRatioScan:
             assert int(np.argmin(array)) == first_min, p
             cases += 1
         assert cases >= 360
+        # each branch switch and its three nearest floats on either side
+        edges = []
+        for switch in (_SMALL_RHO, _PSI3_TAYLOR_RHO):
+            below = above = switch
+            for _ in range(3):
+                below, above = math.nextafter(below, 0.0), math.nextafter(above, 1.0)
+                edges += [below, above]
+            edges.append(switch)
+        hand_made = [
+            (ModelParams(d=d, nu=0.01, v=1.0, tau=tau), edges) for tau in (0.0, 0.1)
+        ]
+        if d == 3:
+            # z = rho*v/A(rho) from 2.5e-13 to 4e-12, across theta's switch at 1e-12
+            p = ModelParams(d=3, nu=1e-30, v=1.0, tau=1e6)
+            rho = [1e-6 * 2.0 ** (i / 8) for i in range(-16, 17)]
+            z = [r * p.v / coupling(p, r) for r in rho]
+            assert min(z) < 1e-12 < max(z)
+            hand_made.append((p, rho))
+        for p, rho in hand_made:
+            values = np.array([scalar_ratio(p, r) for r in rho])
+            array = _ratio_grid(p, np.array(rho))
+            assert np.isfinite(values).all(), p
+            assert np.array_equal(array.view(np.int64), values.view(np.int64)), p
 
     @pytest.mark.parametrize("order", [0, 1])
     def test_bessel_grid_is_the_scalar_series(self, order):
