@@ -47,6 +47,7 @@ from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 
 class ConfigError(ValueError):
@@ -166,15 +167,86 @@ def _turn_increment(rng, tau):
     return rng.exponential(1.0 / tau) if tau > 0.0 else math.inf
 
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hasher(const, mult):
+    """SeedSequence's hash with a running constant, as `hashmix` and as
+    generate_state's output hash: each call xors in the constant, steps it
+    (times mult), multiplies by the stepped constant and xors in the high
+    half.  Takes Python ints and uint32 arrays alike, mod 2**32."""
+
+    def hash_(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    return hash_
+
+
+def _mix(x, y):
+    # each product is masked so that an int can meet a uint32 array
+    result = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
+    return result ^ result >> 16
+
+
+def _spawn_state(seed, count):
+    """generate_state(4, np.uint64) of each child of
+    SeedSequence(seed).spawn(count), as a (count, 4) uint64 array, in one
+    pass of numpy's SeedSequence algorithm over a uint32 column of the
+    spawn keys 0 .. count-1.  A child's entropy is the seed's 32-bit
+    words, low first and padded with zeros to the pool size 4, then its
+    key; only the key's word differs between children, so the rest of the
+    pool is mixed once, on Python ints."""
+    seed = int(seed)
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in [*words[4:], np.arange(count, dtype=np.uint32)]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    output_hash = _hasher(_INIT_B, _MULT_B)
+    state = np.stack([output_hash(pool[k % 4]) for k in range(8)], axis=1)
+    # little-endian pairs of uint32 words, as generate_state joins them
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _StateWords(ISeedSequence):
+    """A seed sequence whose state words are already computed: PCG64 reads
+    them from generate_state(4, np.uint64), as it would a SeedSequence's."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 def init_world(config):
     """Build the t = 0 world: uniform positions, isotropic directions,
     exponential turn schedule, and the source, node 0, at the centre of
-    the box and infected at time 0.  Deterministic given the seed."""
+    the box and infected at time 0.  Deterministic given the seed.
+
+    The generators are PCG64s seeded by SeedSequence(seed).spawn(n + 1):
+    child 0 places the nodes and child k + 1 is node k's stream.  The
+    children's state words are computed in one array pass (`_spawn_state`)
+    rather than one SeedSequence at a time."""
     n, d, length = config.n, config.d, config.box_length
-    root = np.random.SeedSequence(config.seed)
-    children = root.spawn(n + 1)
-    placement_rng = np.random.Generator(np.random.PCG64(children[0]))
-    node_rngs = [np.random.Generator(np.random.PCG64(c)) for c in children[1:]]
+    placement_rng, *node_rngs = [
+        np.random.Generator(np.random.PCG64(_StateWords(words)))
+        for words in _spawn_state(config.seed, n + 1)
+    ]
 
     positions = placement_rng.uniform(0.0, length, size=(n, d))
     positions[0] = 0.5 * length
@@ -207,11 +279,13 @@ def fold_positions(positions, directions, length):
     axis folds independently (corner bounces compose).  Components inside
     (0, L] are their own fold, so only the others are folded, one at a
     time on Python floats through flat views of the two C-contiguous
-    arrays: a step's work is two reductions plus its wall crossings
-    (Python's float % is numpy's float mod)."""
-    if positions.min() > 0.0 and positions.max() <= length:
-        return
+    arrays: a step's work is an argmin and an argmax plus its wall
+    crossings (Python's float % is numpy's float mod).  The index
+    reductions cost a fraction of min and max, and decide alike: argmin
+    takes the first NaN, as min propagates it, and -0.0 is not > 0.0."""
     flat, flat_dirs = positions.reshape(-1), directions.reshape(-1)
+    if flat.item(flat.argmin()) > 0.0 and flat.item(flat.argmax()) <= length:
+        return
     period = 2.0 * length
     for k in ((flat <= 0.0) | (flat > length)).nonzero()[0].tolist():
         p = flat.item(k) % period
@@ -221,10 +295,10 @@ def fold_positions(positions, directions, length):
         flat[k] = p
 
 
-def _within_t_max(time, config):
-    """True while `time` is not past t_max, with a relative slack of 1e-9
+def _time_limit(config):
+    """The latest time a run may reach: t_max with a relative slack of 1e-9,
     so that a run of t_max/dt steps is not cut short by rounding."""
-    return time <= config.t_max + 1e-9 * max(1.0, config.t_max)
+    return config.t_max + 1e-9 * max(1.0, config.t_max)
 
 
 def _move_row(pos, dirn, step, length):
@@ -278,14 +352,18 @@ def advance(world):
     floats from its position at world.time (`_walk_turns`), and its row
     is written over the array's after the fold.  Past the array move, the
     step's work is row-local: the fold touches only the components that
-    left the box, and the Python loop runs over the turns."""
+    left the box, and the Python loop runs over the turns.  When the
+    soonest turn (an argmin, a fraction of min's cost) is not before
+    `end`, as on every step at tau = 0, no node is walked."""
     config = world.config
     end = world.time + config.dt
-    if not _within_t_max(end, config):
+    if not end <= _time_limit(config):
         raise ConfigError("advance would step past t_max")
 
-    turning = (world.next_turn_time < end).nonzero()[0].tolist()
-    walked = _walk_turns(world, turning, end)
+    next_turn = world.next_turn_time
+    walked = []
+    if not next_turn.item(next_turn.argmin()) >= end:
+        walked = _walk_turns(world, (next_turn < end).nonzero()[0].tolist(), end)
     world.positions += world.directions * (config.v * config.dt)
     fold_positions(world.positions, world.directions, config.box_length)
     for i, pos, dirn in walked:
@@ -453,6 +531,13 @@ def _hop_reach(config):
     return hop, config.radio_range + hop * (_HORIZON_STEPS + 1)
 
 
+def _least(d2):
+    """d2.min(initial=inf) by argmin, whose index reduction costs a
+    fraction of min's ufunc reduce; it takes the first NaN, as min
+    propagates it."""
+    return d2.item(d2.argmin()) if d2.size else math.inf
+
+
 def flood(world):
     """Infect every node in a connected component (unit-disk graph on the
     current positions) that touches an infected node; instantaneous
@@ -532,7 +617,7 @@ def flood(world):
         infected = world.infected.nonzero()[0]
         pair_u, pair_i, d2 = _near_pairs(pos, unreached, infected, reach, length, n)
     records = []
-    least = d2.min(initial=math.inf)
+    least = _least(d2)
     if least <= r**2:
         reached = np.zeros(len(pos), dtype=bool)
         reached[pair_u[d2 <= r**2]] = True
@@ -549,8 +634,8 @@ def flood(world):
             frontier, unreached = unreached[hit], unreached[~hit]
         pair_u, pair_i, d2 = map(np.concatenate, zip(*levels))
         kept = ~reached[pair_u]
-        least = d2.min(initial=math.inf, where=kept)
-        pair_u, pair_i = pair_u[kept], pair_i[kept]
+        pair_u, pair_i, d2 = pair_u[kept], pair_i[kept], d2[kept]
+        least = _least(d2)
         # the distance is np.linalg.norm's float: the square root of the dot
         origins = world.source_origin.reshape(-1, pos.shape[1])
         for i in reached.nonzero()[0].tolist():
@@ -627,6 +712,7 @@ def _run_lockstep(config, seeds):
     results = [[InfectionRecord(node_id=0, infection_time=0.0, distance=0.0)] for _ in seeds]
     live = list(range(len(seeds)))
     stack = _stack(worlds)
+    limit = _time_limit(config)
     while True:
         wave = flood(stack)
         if wave:
@@ -636,13 +722,13 @@ def _run_lockstep(config, seeds):
                     record = InfectionRecord(node, record.infection_time, record.distance)
                 results[live[k]].append(record)
             done = stack.infected.reshape(len(live), n).all(axis=1)
-            if done.any():
+            if done.item(done.argmax()):
                 _unstack(stack, [worlds[k] for k in live])
                 live = [k for k, gone in zip(live, done.tolist()) if not gone]
                 if not live:
                     return results
                 stack = _stack([worlds[k] for k in live])
-        if not _within_t_max(stack.time + config.dt, config):
+        if not stack.time + config.dt <= limit:
             break
         advance(stack)
     _unstack(stack, [worlds[k] for k in live])

@@ -95,7 +95,7 @@ def every_step_run(config, flood_step=unskipped_flood):
     world = sim_module.init_world(config)
     records = [InfectionRecord(node_id=0, infection_time=0.0, distance=0.0)]
     records.extend(flood_step(world))
-    while (sim_module._within_t_max(world.time + config.dt, config)
+    while (world.time + config.dt <= sim_module._time_limit(config)
            and not world.infected.all()):
         advance(world)
         records.extend(flood_step(world))
@@ -113,6 +113,26 @@ def place_nodes(monkeypatch, positions, directions):
         return world
 
     monkeypatch.setattr(sim_module, "init_world", place)
+
+
+def seed_sequence_world(config):
+    """Reference init_world: the generators built one SeedSequence child
+    and one PCG64 at a time, child 0 placing the nodes."""
+    n, d, length = config.n, config.d, config.box_length
+    children = np.random.SeedSequence(config.seed).spawn(n + 1)
+    placement, *node_rngs = [np.random.Generator(np.random.PCG64(c)) for c in children]
+    positions = placement.uniform(0.0, length, size=(n, d))
+    positions[0] = 0.5 * length
+    directions = np.array([sim_module._isotropic_direction(rng, d) for rng in node_rngs])
+    next_turn = np.array([sim_module._turn_increment(rng, config.tau) for rng in node_rngs])
+    infected = np.zeros(n, dtype=bool)
+    infected[0] = True
+    return sim_module.World(
+        config=config, time=0.0, positions=positions, directions=directions,
+        next_turn_time=next_turn, infected=infected,
+        turn_count=np.zeros(n, dtype=np.int64), source_origin=positions[0].copy(),
+        node_rngs=node_rngs,
+    )
 
 
 def _move_node_reference(world, i, duration):
@@ -281,6 +301,37 @@ class TestInitWorld:
             assert sim_module._isotropic_direction(rng, 3) == (vec / norm).tolist()
         assert rng.bit_generator.state == reference.bit_generator.state
 
+    @pytest.mark.parametrize("count", [1, 2, 161, 10241])
+    @pytest.mark.parametrize(
+        "seed", [0, 1, 12345, 2**32 - 1, 2**32, 2**64 + 5, 2**127 + 11, 2**160 + 7]
+    )
+    def test_spawn_state_is_numpy_seed_sequence(self, seed, count):
+        # the guard against a numpy release that changes SeedSequence
+        children = np.random.SeedSequence(seed).spawn(count)
+        want = np.stack([c.generate_state(4, np.uint64) for c in children])
+        got = sim_module._spawn_state(seed, count)
+        assert got.dtype == np.uint64
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "d, tau, seed", [(2, 0.1, 3), (3, 1.0, 11), (2, 0.1, 2**64 + 5)]
+    )
+    def test_streams_are_seed_sequence_children(self, d, tau, seed):
+        cfg = SimConfig(d=d, box_length=30.0, n=161, v=1.0, tau=tau, seed=seed)
+        world, want = init_world(cfg), seed_sequence_world(cfg)
+        for name in ("positions", "directions", "next_turn_time", "infected",
+                     "turn_count", "source_origin"):
+            got, expected = getattr(world, name), getattr(want, name)
+            assert got.dtype == expected.dtype, name
+            assert got.tobytes() == expected.tobytes(), name
+        assert (world.time, world.steps, world.watch) == (want.time, want.steps, want.watch)
+        assert len(world.node_rngs) == cfg.n
+        for rng, reference in zip(world.node_rngs, want.node_rngs):
+            assert rng.bit_generator.state == reference.bit_generator.state
+            assert rng.random() == reference.random()
+            assert rng.exponential(2.0) == reference.exponential(2.0)
+            assert rng.normal(size=3).tobytes() == reference.normal(size=3).tobytes()
+
     def test_mean_position_of_large_sample(self):
         L, n = 10.0, 100_000
         w = init_world(
@@ -420,6 +471,50 @@ class TestAdvance:
                 assert got.tobytes() == want.tobytes(), name
         assert both >= 5
 
+    @pytest.mark.parametrize("offset", [0, -1])
+    def test_turn_skip_at_the_step_end(self, offset, monkeypatch):
+        # a turn at exactly `end` waits for the next step, and one an ulp
+        # before it is walked in this one; either way bit-equal to the
+        # per-node walker
+        cfg = SimConfig(d=2, box_length=6.0, n=30, v=1.3, tau=5.0, dt=0.075, t_max=30.0)
+        fast, reference = init_world(cfg), init_world(cfg)
+        end = fast.time + cfg.dt
+        turn = end if offset == 0 else math.nextafter(end, -math.inf)
+        for world in (fast, reference):
+            world.next_turn_time[:] = end + 1.0
+            world.next_turn_time[7] = turn
+        walked = []
+        walk = sim_module._walk_turns
+        monkeypatch.setattr(
+            sim_module, "_walk_turns",
+            lambda world, turning, end: walked.append(turning) or walk(world, turning, end),
+        )
+        advance(fast)
+        per_node_advance(reference)
+        assert walked == ([] if offset == 0 else [[7]])
+        assert fast.turn_count.tolist() == reference.turn_count.tolist()
+        assert fast.turn_count[7] == (0 if offset == 0 else 1)
+        for name in ("positions", "directions", "next_turn_time"):
+            assert getattr(fast, name).tobytes() == getattr(reference, name).tobytes(), name
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_billiard_stack_walks_no_node(self, d, monkeypatch):
+        cfg = SimConfig(d=d, box_length=4.0, n=30, v=1.3, tau=0.0, dt=0.075, t_max=30.0)
+        seeds = (4, 5, 6)
+        stack = sim_module._stack([init_world(replace(cfg, seed=s)) for s in seeds])
+        alone = [init_world(replace(cfg, seed=s)) for s in seeds]
+        monkeypatch.setattr(sim_module, "_walk_turns", None)
+        for _ in range(200):
+            advance(stack)
+            for world in alone:
+                per_node_advance(world)
+        for k, world in enumerate(alone):
+            rows = slice(k * cfg.n, (k + 1) * cfg.n)
+            for name in ("positions", "directions", "next_turn_time", "turn_count"):
+                got, want = getattr(stack, name)[rows], getattr(world, name)
+                assert got.tobytes() == want.tobytes(), name
+        assert not stack.turn_count.any()
+
     def test_mirror_trajectory_equivalence(self):
         # folded billiard position == free-space position passed through
         # the 2L-periodic folding map, at every step
@@ -447,6 +542,17 @@ class TestAdvance:
         assert np.allclose(wc.next_turn_time, wf.next_turn_time, atol=1e-9)
 
 
+class ComparedArray(np.ndarray):
+    """An array that counts the `<=` comparisons made on it or its views:
+    fold_positions makes one only when it does not return early."""
+
+    compares = 0
+
+    def __le__(self, other):
+        ComparedArray.compares += 1
+        return super().__le__(other)
+
+
 class TestFoldPositions:
     def test_multiple_bounces_in_one_fold(self):
         pos = np.array([[23.0]])
@@ -459,7 +565,9 @@ class TestFoldPositions:
         # stacks with no component, one component or many outside the box:
         # the fold's early return, a lone wall crossing or edge value (a
         # lone -0.0 must still fold to +0.0), and many bounces mixed with
-        # the edge values
+        # the edge values.  The fold returns early exactly when no
+        # component is outside (0, L]: on the all-interior stacks, one of
+        # them all 5e-324 and L, the smallest and largest inside values
         length = 10.0
         period = 2.0 * length
         rng = np.random.default_rng(5)
@@ -470,7 +578,7 @@ class TestFoldPositions:
         for d in (1, 2, 3):
             inside = rng.uniform(1e-9, length, (120, d))
             inside[0, d - 1] = length  # L is inside the box
-            stacks = [inside]
+            stacks = [inside, np.resize([5e-324, length], (7, d))]
             for value in [-0.3, length + 0.3, *edges]:
                 one = inside.copy()
                 one[rng.integers(120), rng.integers(d)] = value
@@ -486,8 +594,11 @@ class TestFoldPositions:
                 over = want_pos > length
                 want_pos[over] = period - want_pos[over]
                 want_dir = np.where(over, -dirn, dirn)
-                pos = raw.copy()
+                pos = raw.copy().view(ComparedArray)
+                ComparedArray.compares = 0
                 fold_positions(pos, dirn, length)
+                outside = ((raw <= 0.0) | (raw > length)).any()
+                assert ComparedArray.compares == int(outside), (d, raw)
                 assert pos.tobytes() == want_pos.tobytes(), d
                 assert dirn.tobytes() == want_dir.tobytes(), d
 
@@ -731,7 +842,7 @@ class TestFlood:
                 assert w.watch is before
                 assert not (d2 <= cfg.radio_range**2).any(), w.steps
                 skipped += 1
-            if w.infected.all() or not sim_module._within_t_max(w.time + cfg.dt, cfg):
+            if w.infected.all() or not w.time + cfg.dt <= sim_module._time_limit(cfg):
                 break
             advance(w)
         assert len(hit_steps) > 2
@@ -756,8 +867,8 @@ class TestFlood:
             assert records == dense_flood(dense), w.steps
             assert np.array_equal(w.infected, dense.infected)
             hits += bool(records)
-            if w.infected.all() or not sim_module._within_t_max(
-                w.time + every * cfg.dt, cfg
+            if w.infected.all() or not (
+                w.time + every * cfg.dt <= sim_module._time_limit(cfg)
             ):
                 break
             for _ in range(every):
